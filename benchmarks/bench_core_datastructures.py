@@ -57,6 +57,17 @@ def test_seqnoset_difference(benchmark):
     assert len(missing) == 50
 
 
+def test_seqnoset_difference_contiguous_one_behind(benchmark):
+    """The shape real traffic has (DESIGN.md §8): a long gap-free INFO set
+    against a view that lacks only the newest message.  The gappy case
+    above has 286 runs; every benchmark workload has at most 5."""
+    mine = SeqnoSet.range(1, 4_000)
+    view = SeqnoSet.range(1, 3_999)
+
+    missing = benchmark(mine.difference, view)
+    assert missing == [4_000]
+
+
 def test_seqnoset_update_union(benchmark):
     base = make_gappy_set(seed=1)
     other = make_gappy_set(hole_every=5, seed=2)

@@ -43,6 +43,7 @@ class DeliveryLog:
     def __init__(self, owner: HostId, callback: Optional[DeliverCallback] = None) -> None:
         self.owner = owner
         self._records: Dict[int, DeliveryRecord] = {}
+        self._prefix = 0  # watermark: 1.._prefix are known delivered
         self._callback = callback
 
     def record(self, record: DeliveryRecord) -> None:
@@ -65,13 +66,18 @@ class DeliveryLog:
         lost = [seq for seq in self._records if seq > n]
         for seq in lost:
             del self._records[seq]
+        self._prefix = min(self._prefix, max(n, 0))
         return len(lost)
 
     def contiguous_prefix(self) -> int:
-        """Largest n such that messages 1..n are all delivered."""
-        n = 0
+        """Largest n such that messages 1..n are all delivered.
+
+        Resumes from the last answer, so polling it is O(1) amortised.
+        """
+        n = self._prefix
         while (n + 1) in self._records:
             n += 1
+        self._prefix = n
         return n
 
     # -- queries -----------------------------------------------------------
@@ -92,7 +98,7 @@ class DeliveryLog:
 
     def has_all(self, n: int) -> bool:
         """True when messages 1..n have all been delivered."""
-        return all(seq in self._records for seq in range(1, n + 1))
+        return self.contiguous_prefix() >= n
 
     def delays(self) -> List[float]:
         """Delays of all deliveries, in sequence order."""

@@ -507,7 +507,7 @@ class BroadcastHost:
                       created_at=stored.created_at, origin=stored.origin,
                       gapfill=gapfill, size_bits=self.config.data_size_bits)
         self.port.send(target, msg)
-        self.maps.note_sent(target, [seq])
+        self.maps.note_sent(target, seq)
         # Every data send enters the suppression window so periodic gap
         # filling does not immediately duplicate a normal forward.
         fills = self._recent_fills.setdefault(target, {})
@@ -688,7 +688,9 @@ class BroadcastHost:
         # suppression window, which records every data send.
         can_send_frontier = include_frontier or target in self.children
         sent = 0
-        for seq in self.info.difference(view):
+        # _send_data marks ``view`` (maps.note_sent) while we iterate:
+        # iter_difference fixes the runs now and expands members lazily.
+        for seq in self.info.iter_difference(view):
             if seq > target_max and not can_send_frontier:
                 break  # ascending: every later seq is frontier too
             if persistent_only and not self.maps.persistent_hole(target, seq):

@@ -16,7 +16,7 @@ on their monotonicity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..net import HostId
 from .seqnoset import SeqnoSet
@@ -102,15 +102,19 @@ class MapState:
         ``note_sent`` marks when a fill was actually lost.  (A reordered
         stale snapshot can transiently regress the view; the cost is at
         worst a duplicate gap fill, bounded by the suppression window.)
+
+        ``info`` is kept by reference as the authoritative snapshot, so
+        the caller must not mutate it afterwards; payload INFO sets are
+        immutable snapshots by contract (``wire._snapshot``).
         """
         if j == self.me:
             return
-        self._views[j] = info.copy()
+        self._views[j] = info.copy()  # the view takes optimistic marks
         self._parents[j] = parent
         self._ack_prefix[j] = max(self._ack_prefix.get(j, 0), info.contiguous_prefix())
         if j in self._last_auth:
             self._prev_auth[j] = self._last_auth[j]
-        self._last_auth[j] = info.copy()
+        self._last_auth[j] = info
 
     def note_has(self, j: HostId, seq: int) -> None:
         """Record first-hand evidence that j has message ``seq``."""
@@ -118,13 +122,10 @@ class MapState:
             return
         self.info_of(j).add(seq)
 
-    def note_sent(self, j: HostId, seqs: Iterable[int]) -> None:
-        """Optimistically assume messages just sent to j will arrive."""
-        if j == self.me:
-            return
-        view = self.info_of(j)
-        for seq in seqs:
-            view.add(seq)
+    def note_sent(self, j: HostId, seq: int) -> None:
+        """Optimistically assume message ``seq`` just sent to j will arrive."""
+        if j != self.me:
+            self.info_of(j).add(seq)
 
     def set_parent_view(self, j: HostId, parent: Optional[HostId]) -> None:
         """Update only the parent pointer view for j."""

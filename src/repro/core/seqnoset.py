@@ -4,12 +4,32 @@ Every host tracks the sequence numbers of all broadcast messages it has
 received (``INFO_i``), and its view of every other host's set
 (``MAP_i[j]``).  Since received messages are mostly contiguous runs,
 :class:`SeqnoSet` stores them as sorted, disjoint, inclusive integer
-ranges — O(#gaps) memory instead of O(#messages).
+runs — O(#gaps) memory instead of O(#messages) — and *operates* on
+runs too: no operation walks members, so no per-message cost grows
+with how many messages a deployment has handled.
 
 The class also implements the paper's Section 6 optimization: a set can
 be *pruned* of sequence numbers ``1..n`` once it is known that all hosts
 have received them; the pruned prefix is remembered in ``floor`` so
-membership and gap queries stay exact.
+membership and gap queries stay exact.  Run-wise operations treat the
+floor as the run ``[1, floor]``.
+
+Complexity, with r the number of runs (≤ 5 on every benchmark workload,
+while members reach thousands):
+
+====================================================  ==================
+``add`` of ``max + 1`` / ``max_seqno`` / ``floor`` /  O(1)
+``contiguous_prefix`` / ``bool``
+``in``                                                O(log r)
+``add`` / ``add_range`` / ``truncate_above`` /        O(log r) search +
+``prune_through``                                     O(r) list splice
+``copy`` / ``len`` / ``==`` / ``ranges`` / ``repr``   O(r)
+``difference_runs`` / ``issuperset``                  O(r + r_other)
+``update``                                            O(r_other · log r)
+                                                      + O(r) per splice
+``iter_difference`` / ``difference`` /                O(r) + the members
+``missing_below`` / ``gaps`` / ``iter``               actually produced
+====================================================  ==================
 
 The paper's partial order on INFO sets (Section 4.2) is provided by
 :func:`info_less` (``A < B`` iff ``max(A) < max(B)``) and
@@ -20,16 +40,20 @@ defined as 0; the source numbers messages from 1.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain, islice
 from typing import Iterable, Iterator, List, Tuple
 
 
 class SeqnoSet:
-    """A set of positive integers stored as sorted disjoint ranges."""
+    """A set of positive integers stored as sorted disjoint runs."""
 
-    __slots__ = ("_ranges", "_floor")
+    __slots__ = ("_los", "_his", "_floor")
 
     def __init__(self, items: Iterable[int] = ()) -> None:
-        self._ranges: List[List[int]] = []  # [lo, hi] inclusive, sorted, disjoint
+        # Run k is los[k]..his[k] inclusive; runs are sorted, disjoint,
+        # non-adjacent and lie above the floor.
+        self._los: List[int] = []
+        self._his: List[int] = []
         self._floor = 0  # all of 1..floor are members (pruned prefix)
         for item in items:
             self.add(item)
@@ -47,10 +71,19 @@ class SeqnoSet:
 
     def copy(self) -> "SeqnoSet":
         """An independent copy."""
-        out = SeqnoSet()
-        out._ranges = [r[:] for r in self._ranges]
+        out = SeqnoSet.__new__(SeqnoSet)
+        out._los = self._los[:]
+        out._his = self._his[:]
         out._floor = self._floor
         return out
+
+    def __getstate__(self) -> Tuple[int, List[int], List[int]]:
+        # Positional state: the UDP backend pickles INFO sets into every
+        # control frame, and slot names would be a third of the bytes.
+        return self._floor, self._los, self._his
+
+    def __setstate__(self, state: Tuple[int, List[int], List[int]]) -> None:
+        self._floor, self._los, self._his = state
 
     # ------------------------------------------------------------------
     # Mutation
@@ -58,6 +91,10 @@ class SeqnoSet:
 
     def add(self, seq: int) -> bool:
         """Insert ``seq``; returns True when it was not already present."""
+        his = self._his
+        if his and seq == his[-1] + 1:  # the next message in sequence
+            his[-1] = seq
+            return True
         return self.add_range(seq, seq)
 
     def add_range(self, lo: int, hi: int) -> bool:
@@ -69,27 +106,29 @@ class SeqnoSet:
         if hi <= self._floor:
             return False
         lo = max(lo, self._floor + 1)
-        size_before = len(self)
-        # Find the window of ranges overlapping or adjacent to [lo, hi].
-        starts = [r[0] for r in self._ranges]
-        left = bisect_left(starts, lo)
-        if left > 0 and self._ranges[left - 1][1] >= lo - 1:
-            left -= 1
-        right = left
-        new_lo, new_hi = lo, hi
-        while right < len(self._ranges) and self._ranges[right][0] <= hi + 1:
-            new_lo = min(new_lo, self._ranges[right][0])
-            new_hi = max(new_hi, self._ranges[right][1])
-            right += 1
-        self._ranges[left:right] = [[new_lo, new_hi]]
-        return len(self) > size_before
+        los, his = self._los, self._his
+        # Runs left..right-1 overlap or are adjacent to [lo, hi].
+        left = bisect_left(his, lo - 1)
+        right = bisect_right(los, hi + 1)
+        if left == right:
+            los.insert(left, lo)
+            his.insert(left, hi)
+            return True
+        new_lo = min(lo, los[left])
+        new_hi = max(hi, his[right - 1])
+        if right - left == 1 and new_lo == los[left] and new_hi == his[left]:
+            return False  # one run already covers it
+        # Two merged runs were non-adjacent, so a hole between them was new.
+        los[left:right] = [new_lo]
+        his[left:right] = [new_hi]
+        return True
 
     def update(self, other: "SeqnoSet") -> bool:
         """Union-in ``other``; returns True if anything was new."""
         any_new = False
         if other._floor > self._floor:
-            any_new |= self.add_range(1, other._floor)
-        for lo, hi in other._ranges:
+            any_new = self.add_range(1, other._floor)
+        for lo, hi in zip(other._los, other._his):
             any_new |= self.add_range(lo, hi)
         return any_new
 
@@ -102,12 +141,11 @@ class SeqnoSet:
         if n < self._floor:
             raise ValueError(
                 f"cannot truncate above {n}: pruned prefix reaches {self._floor}")
-        new_ranges = []
-        for lo, hi in self._ranges:
-            if lo > n:
-                break
-            new_ranges.append([lo, min(hi, n)])
-        self._ranges = new_ranges
+        keep = bisect_right(self._los, n)
+        del self._los[keep:]
+        del self._his[keep:]
+        if keep and self._his[-1] > n:
+            self._his[-1] = n
 
     def prune_through(self, n: int) -> None:
         """Forget explicit storage for 1..n (they remain members).
@@ -117,15 +155,15 @@ class SeqnoSet:
         """
         if n <= self._floor:
             return
-        if self.missing_below(n + 1):
+        if self.contiguous_prefix() < n:
             raise ValueError(f"cannot prune through {n}: set has gaps below it")
+        # 1..n present and n above the floor: the first run holds n.
         self._floor = n
-        new_ranges = []
-        for lo, hi in self._ranges:
-            if hi <= n:
-                continue
-            new_ranges.append([max(lo, n + 1), hi])
-        self._ranges = new_ranges
+        if self._his[0] == n:
+            del self._los[0]
+            del self._his[0]
+        else:
+            self._los[0] = n + 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -137,48 +175,44 @@ class SeqnoSet:
         return self._floor
 
     def __contains__(self, seq: int) -> bool:
-        if seq <= 0:
-            return False
         if seq <= self._floor:
-            return True
-        idx = bisect_right([r[0] for r in self._ranges], seq) - 1
-        return idx >= 0 and self._ranges[idx][1] >= seq
+            return seq > 0
+        idx = bisect_right(self._los, seq) - 1
+        return idx >= 0 and self._his[idx] >= seq
 
     def __len__(self) -> int:
-        return self._floor + sum(hi - lo + 1 for lo, hi in self._ranges)
+        return self._floor + sum(self._his) - sum(self._los) + len(self._los)
 
     def __bool__(self) -> bool:
-        return self._floor > 0 or bool(self._ranges)
+        return self._floor > 0 or bool(self._los)
 
     @property
     def max_seqno(self) -> int:
         """The paper's max(INFO); 0 for the empty set."""
-        if self._ranges:
-            return self._ranges[-1][1]
+        if self._his:
+            return self._his[-1]
         return self._floor
 
     def __iter__(self) -> Iterator[int]:
-        for seq in range(1, self._floor + 1):
-            yield seq
-        for lo, hi in self._ranges:
-            yield from range(lo, hi + 1)
+        """All members, ascending (tests and diagnostics: O(members))."""
+        return chain.from_iterable(
+            range(lo, hi + 1) for lo, hi in zip(*self._runs()))
 
     def contiguous_prefix(self) -> int:
         """Largest n such that all of 1..n are members (0 if 1 is absent)."""
-        if self._ranges and self._ranges[0][0] == self._floor + 1:
-            return self._ranges[0][1]
+        if self._los and self._los[0] == self._floor + 1:
+            return self._his[0]
         return self._floor
 
     def missing_below(self, limit: int) -> List[int]:
         """All absent sequence numbers in [1, limit) — the set's *gaps*."""
-        missing = []
+        missing: List[int] = []
         cursor = self._floor + 1
-        for lo, hi in self._ranges:
+        for lo, hi in zip(self._los, self._his):
             if cursor >= limit:
                 break
-            if lo > cursor:
-                missing.extend(range(cursor, min(lo, limit)))
-            cursor = max(cursor, hi + 1)
+            missing.extend(range(cursor, min(lo, limit)))
+            cursor = hi + 1
         missing.extend(range(cursor, limit))
         return missing
 
@@ -186,27 +220,62 @@ class SeqnoSet:
         """Absent sequence numbers below this set's own maximum."""
         return self.missing_below(self.max_seqno)
 
+    def _runs(self) -> Tuple[List[int], List[int]]:
+        """``(los, his)`` with the pruned prefix folded in as ``[1, floor]``.
+
+        The canonical form of the membership: two sets are equal iff
+        their ``_runs()`` are.  May alias the live lists — read-only.
+        """
+        los, his, floor = self._los, self._his, self._floor
+        if not floor:
+            return los, his
+        if los and los[0] == floor + 1:
+            return [1] + los[1:], his
+        return [1] + los, [floor] + his
+
+    def difference_runs(self, other: "SeqnoSet") -> List[Tuple[int, int]]:
+        """The members of self not in ``other``, as inclusive runs."""
+        blos, bhis = other._runs()
+        out: List[Tuple[int, int]] = []
+        j, nb = 0, len(blos)
+        for lo, hi in zip(*self._runs()):
+            while j < nb and bhis[j] < lo:
+                j += 1
+            while j < nb and blos[j] <= hi:
+                if blos[j] > lo:
+                    out.append((lo, blos[j] - 1))
+                lo = bhis[j] + 1
+                if lo > hi:
+                    break  # this run of other may reach into our next one
+                j += 1
+            if lo <= hi:
+                out.append((lo, hi))
+        return out
+
+    def iter_difference(self, other: "SeqnoSet") -> Iterator[int]:
+        """Members of self not in ``other``, ascending, expanded lazily.
+
+        The runs are fixed when this is called, so the caller may mutate
+        either set while consuming the iterator.
+        """
+        runs = self.difference_runs(other)
+        return chain.from_iterable(range(lo, hi + 1) for lo, hi in runs)
+
     def difference(self, other: "SeqnoSet", limit: int = 0) -> List[int]:
         """Members of self that are not in ``other`` (ascending).
 
         With ``limit > 0``, at most that many are returned — used to
         batch gap-filling traffic.
         """
-        out = []
-        for seq in self:
-            if seq not in other:
-                out.append(seq)
-                if limit and len(out) >= limit:
-                    break
-        return out
+        return list(islice(self.iter_difference(other), limit or None))
 
     def issuperset(self, other: "SeqnoSet") -> bool:
         """True when every member of ``other`` is in self."""
-        return all(seq in self for seq in other)
+        return not other.difference_runs(self)
 
     def ranges(self) -> List[Tuple[int, int]]:
         """The explicit ranges (diagnostics; excludes the pruned prefix)."""
-        return [(lo, hi) for lo, hi in self._ranges]
+        return list(zip(self._los, self._his))
 
     # ------------------------------------------------------------------
     # Equality / representation
@@ -215,10 +284,8 @@ class SeqnoSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeqnoSet):
             return NotImplemented
-        # Same membership, regardless of internal floor/ranges split.
-        if len(self) != len(other):
-            return False
-        return list(self) == list(other)
+        # Same membership, regardless of internal floor/runs split.
+        return self._runs() == other._runs()
 
     def __hash__(self) -> int:  # pragma: no cover - sets are mutable
         raise TypeError("SeqnoSet is unhashable")
@@ -227,7 +294,8 @@ class SeqnoSet:
         parts = []
         if self._floor:
             parts.append(f"1..{self._floor}*")
-        parts.extend(f"{lo}..{hi}" if lo != hi else f"{lo}" for lo, hi in self._ranges)
+        parts.extend(f"{lo}..{hi}" if lo != hi else f"{lo}"
+                     for lo, hi in zip(self._los, self._his))
         return f"SeqnoSet({', '.join(parts)})"
 
 

@@ -9,7 +9,7 @@ primitives plus the trace.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,23 +55,35 @@ class Gauge:
 class Histogram:
     """Exact histogram of observed samples with quantile queries.
 
-    Samples are kept sorted; suitable for the sample counts seen in
-    these simulations (up to a few hundred thousand observations).
+    Recording appends (O(1)); the samples are sorted when an
+    order-dependent statistic is next read, so a run that records many
+    and reads at the end sorts once.  Suitable for the sample counts
+    seen in these simulations (up to a few hundred thousand
+    observations).
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._samples: List[float] = []
+        self._sorted_count = 0  # how many of _samples the last sort covered
         self._sum = 0.0
 
     def observe(self, value: float) -> None:
-        """Record one observation; see class docs for semantics."""
-        insort(self._samples, value)
+        """Record one observation."""
+        self._samples.append(value)
         self._sum += value
+
+    def _sorted(self) -> List[float]:
+        """The samples in ascending order (sorts if any were added)."""
+        samples = self._samples
+        if self._sorted_count != len(samples):
+            samples.sort()
+            self._sorted_count = len(samples)
+        return samples
 
     @property
     def count(self) -> int:
-        """Number of records/samples matching."""
+        """Number of samples recorded."""
         return len(self._samples)
 
     @property
@@ -89,25 +101,26 @@ class Histogram:
     @property
     def min(self) -> float:
         """Smallest recorded value (NaN when empty)."""
-        return self._samples[0] if self._samples else math.nan
+        return self._sorted()[0] if self._samples else math.nan
 
     @property
     def max(self) -> float:
         """Largest recorded value (NaN when empty)."""
-        return self._samples[-1] if self._samples else math.nan
+        return self._sorted()[-1] if self._samples else math.nan
 
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile, q in [0, 1]."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._samples:
+        samples = self._sorted()
+        if not samples:
             return math.nan
-        if len(self._samples) == 1:
-            return self._samples[0]
-        pos = q * (len(self._samples) - 1)
+        if len(samples) == 1:
+            return samples[0]
+        pos = q * (len(samples) - 1)
         low = int(math.floor(pos))
         high = int(math.ceil(pos))
-        low_val, high_val = self._samples[low], self._samples[high]
+        low_val, high_val = samples[low], samples[high]
         if low == high or low_val == high_val:
             return low_val
         frac = pos - low
@@ -118,12 +131,15 @@ class Histogram:
         if len(self._samples) < 2:
             return 0.0
         mean = self.mean
-        var = sum((s - mean) ** 2 for s in self._samples) / (len(self._samples) - 1)
+        # Summed in ascending order: the result must not depend on
+        # whether an earlier read happened to sort the samples.
+        var = sum((s - mean) ** 2 for s in self._sorted()) / (len(self._samples) - 1)
         return math.sqrt(var)
 
     def count_above(self, threshold: float) -> int:
         """Number of samples strictly greater than ``threshold``."""
-        return len(self._samples) - bisect_left(self._samples, math.nextafter(threshold, math.inf))
+        samples = self._sorted()
+        return len(samples) - bisect_left(samples, math.nextafter(threshold, math.inf))
 
 
 class TimeSeries:
@@ -134,7 +150,7 @@ class TimeSeries:
         self.points: List[Tuple[float, float]] = []
 
     def record(self, time: float, value: float) -> None:
-        """Record one delivery; duplicate sequence numbers are a bug."""
+        """Append one ``(time, value)`` point."""
         self.points.append((time, value))
 
     def values(self) -> List[float]:

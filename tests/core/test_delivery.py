@@ -49,6 +49,27 @@ def test_has_all():
     assert log.has_all(0)
 
 
+def test_prefix_watermark_follows_records_and_forgetting():
+    """has_all / contiguous_prefix resume from a watermark instead of
+    rescanning 1..n; forgetting a suffix must pull the watermark back."""
+    log = DeliveryLog(ME)
+    assert log.contiguous_prefix() == 0
+    for seq in (2, 3, 5):
+        log.record(rec(seq))
+    assert log.contiguous_prefix() == 0 and not log.has_all(1)
+    log.record(rec(1))
+    assert log.contiguous_prefix() == 3 and log.has_all(3) and not log.has_all(4)
+    log.record(rec(4))
+    assert log.contiguous_prefix() == 5 and log.has_all(5)
+    assert log.forget_above(2) == 3  # the crash loses 3, 4, 5
+    assert log.contiguous_prefix() == 2 and log.has_all(2) and not log.has_all(3)
+    for seq in (4, 3):  # delivered again after recovery, out of order
+        log.record(rec(seq))
+    assert log.contiguous_prefix() == 4 and log.has_all(4) and not log.has_all(5)
+    assert log.forget_above(9) == 0
+    assert log.contiguous_prefix() == 4  # forgetting nothing moves nothing
+
+
 def test_delay_and_delays():
     log = DeliveryLog(ME)
     log.record(rec(1, created=1.0, delivered=3.5))

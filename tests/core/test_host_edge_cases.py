@@ -132,6 +132,28 @@ class TestGapfillBatching:
                                         origin=parent.me)
         assert parent._fill_gaps_of(child, include_frontier=True) == 2
 
+    def test_fill_survives_its_own_marks_merging_the_target_view(self):
+        """Every fill marks the target's view (``note_sent``) while
+        ``_fill_gaps_of`` is still walking the difference against that
+        view.  Here each pair of fills merges two of the view's runs, so
+        the view's run lists shrink under the loop: a difference computed
+        lazily over them skips fills or raises IndexError."""
+        sim, built, system = build(
+            config=ProtocolConfig(gapfill_batch_limit=50,
+                                  gapfill_suppression=0.0))
+        parent = system.hosts[HostId("h0.0")]
+        child = HostId("h0.1")
+        parent.cluster.observe(child, cost_bit=False)
+        parent.children.add(child)
+        for seq in range(1, 13):
+            parent.info.add(seq)
+            parent.store[seq] = DataMsg(seq=seq, content=None, created_at=0.0,
+                                        origin=parent.me)
+        parent.maps.apply_info(child, SeqnoSet([1, 2, 5, 6, 9, 10]), None)
+        assert parent._fill_gaps_of(child, include_frontier=True) == 6
+        assert sorted(parent._recent_fills[child]) == [3, 4, 7, 8, 11, 12]
+        assert parent.maps.info_of(child) == SeqnoSet.range(1, 12)
+
     def test_fill_skips_pruned_store_entries(self):
         sim, built, system = build(
             config=ProtocolConfig(gapfill_suppression=0.0))

@@ -95,7 +95,8 @@ class TestPruningAcrossViews:
         for seq in range(1, 6):
             host.info.add(seq)
         for peer in ("h0.1", "h1.0", "h1.1"):
-            host.maps.note_sent(HostId(peer), range(1, 6))  # marks only
+            for seq in range(1, 6):
+                host.maps.note_sent(HostId(peer), seq)  # marks only
         host._maybe_prune()
         assert host.info.floor == 0
 

@@ -27,7 +27,8 @@ def test_unknown_host_has_empty_view():
 
 def test_apply_info_replaces_view():
     state, _ = make_state()
-    state.note_sent(A, [5, 6])  # optimistic
+    state.note_sent(A, 5)  # optimistic
+    state.note_sent(A, 6)
     state.apply_info(A, SeqnoSet([1, 2]), parent=B)
     assert list(state.info_of(A)) == [1, 2]  # marks wiped
     assert state.parent_of(A) == B
@@ -50,7 +51,8 @@ def test_note_has_adds_single_seq():
 
 def test_authoritative_prefix_tracks_snapshots_not_marks():
     state, _ = make_state()
-    state.note_sent(A, [1, 2, 3])
+    for seq in (1, 2, 3):
+        state.note_sent(A, seq)
     assert state.authoritative_prefix(A) == 0  # optimistic marks don't count
     state.apply_info(A, SeqnoSet([1, 2]), parent=None)
     assert state.authoritative_prefix(A) == 2
@@ -157,5 +159,5 @@ class TestPersistentHoles:
         state, _ = make_state()
         state.apply_info(A, SeqnoSet([2, 3]), None)
         state.apply_info(A, SeqnoSet([2, 3]), None)
-        state.note_sent(A, [1])  # optimistic; not authoritative
+        state.note_sent(A, 1)  # optimistic; not authoritative
         assert state.persistent_hole(A, 1)

@@ -123,3 +123,37 @@ def test_timeseries_empty_stats_are_nan():
     sim = Simulator()
     assert math.isnan(sim.metrics.series("empty").max())
     assert math.isnan(sim.metrics.series("empty").time_average())
+
+
+@given(st.lists(st.tuples(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from(["none", "quantile", "min", "max", "count_above", "stddev"])),
+    min_size=1, max_size=60))
+def test_histogram_reads_interleaved_with_observes_match_sorted(steps):
+    """Samples are sorted on read, not on insert: every statistic must
+    equal the one computed from ``sorted()`` however reads and writes mix."""
+    h = Histogram("x")
+    seen = []
+    for value, read in steps:
+        h.observe(value)
+        seen.append(value)
+        ordered = sorted(seen)
+        if read == "quantile":
+            assert h.quantile(0.0) == ordered[0]
+            assert h.quantile(1.0) == ordered[-1]
+            assert ordered[0] <= h.quantile(0.5) <= ordered[-1]
+            if len(ordered) % 2:
+                assert h.quantile(0.5) == ordered[len(ordered) // 2]
+        elif read == "min":
+            assert h.min == ordered[0]
+        elif read == "max":
+            assert h.max == ordered[-1]
+        elif read == "count_above":
+            assert h.count_above(value) == sum(1 for s in seen if s > value)
+        elif read == "stddev":
+            mean = h.sum / len(seen)
+            expected = (math.sqrt(sum((s - mean) ** 2 for s in ordered)
+                                  / (len(seen) - 1)) if len(seen) > 1 else 0.0)
+            assert h.stddev() == expected
+        assert h.count == len(seen)
+    assert h.sum == pytest.approx(math.fsum(seen), abs=1e-6)

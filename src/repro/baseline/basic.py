@@ -18,14 +18,13 @@ Characteristics the experiments measure against:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.delivery import DeliverCallback, DeliveryRecord
 from ..core.wire import KIND_CONTROL, DataMsg
-from ..io.interfaces import PeriodicHandle
-from ..io.simbackend import SimRuntime
+from ..io.interfaces import PeriodicHandle, Runtime, Transport
+from ..io.simbackend import SimDeployment
 from ..net import BuiltTopology, HostId, Packet
-from ..sim import Simulator
 from .common import BaselineHostBase
 
 
@@ -70,9 +69,10 @@ class BasicConfig:
 class BasicReceiver(BaselineHostBase):
     """Accepts data, always acks (acks themselves can be lost)."""
 
-    def __init__(self, sim, port, source: HostId, config: BasicConfig,
+    def __init__(self, runtime: Runtime, port: Transport, source: HostId,
+                 config: BasicConfig,
                  deliver_callback: Optional[DeliverCallback] = None) -> None:
-        super().__init__(sim, port, deliver_callback)
+        super().__init__(runtime, port, deliver_callback)
         self.source = source
         self.config = config
         port.set_receiver(self._on_packet)
@@ -99,9 +99,10 @@ class BasicReceiver(BaselineHostBase):
 class BasicSource(BaselineHostBase):
     """The source: unicasts to each host, retries until acked."""
 
-    def __init__(self, sim, port, receivers: List[HostId], config: BasicConfig,
+    def __init__(self, runtime: Runtime, port: Transport,
+                 receivers: List[HostId], config: BasicConfig,
                  deliver_callback: Optional[DeliverCallback] = None) -> None:
-        super().__init__(sim, port, deliver_callback)
+        super().__init__(runtime, port, deliver_callback)
         self.receivers = sorted(h for h in receivers if h != self.me)
         self.config = config
         self._next_seq = 1
@@ -192,12 +193,8 @@ class BasicSource(BaselineHostBase):
                                 seq=seq)
 
 
-class BasicBroadcastSystem:
-    """The basic algorithm deployed over a topology.
-
-    API mirrors :class:`repro.core.engine.BroadcastSystem` so analysis
-    code and benchmarks treat the two interchangeably.
-    """
+class BasicBroadcastSystem(SimDeployment):
+    """The basic algorithm deployed over a topology."""
 
     def __init__(
         self,
@@ -206,15 +203,8 @@ class BasicBroadcastSystem:
         source: Optional[HostId] = None,
         deliver_callback: Optional[DeliverCallback] = None,
     ) -> None:
-        self.built = built
-        self.network = built.network
-        self.sim: Simulator = built.network.sim
+        super().__init__(built, source)
         self.config = config or BasicConfig()
-        self.source_id = source if source is not None else built.source
-        if self.source_id not in built.hosts:
-            raise ValueError(f"source {self.source_id} is not a topology host")
-        self.runtime = SimRuntime(self.sim)
-        self.hosts: Dict[HostId, BaselineHostBase] = {}
         for host_id in built.hosts:
             port = self.network.host_port(host_id)
             if host_id == self.source_id:
@@ -223,70 +213,3 @@ class BasicBroadcastSystem:
             else:
                 self.hosts[host_id] = BasicReceiver(
                     self.runtime, port, self.source_id, self.config, deliver_callback)
-
-    @property
-    def source(self) -> BasicSource:
-        """The source host agent (root of the broadcast)."""
-        host = self.hosts[self.source_id]
-        assert isinstance(host, BasicSource)
-        return host
-
-    def start(self) -> "BasicBroadcastSystem":
-        """Start periodic activity; returns self for chaining."""
-        self.source.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop periodic activity; safe to call more than once."""
-        self.source.stop()
-
-    def crash_host(self, host_id: HostId) -> None:
-        """Crash one host (volatile state lost, silent; idempotent)."""
-        self.hosts[host_id].crash()
-
-    def recover_host(self, host_id: HostId) -> None:
-        """Recover a crashed host (no-op when it is up)."""
-        self.hosts[host_id].recover()
-
-    def crashed_hosts(self) -> List[HostId]:
-        """Hosts currently down, sorted."""
-        return sorted(h for h, host in self.hosts.items() if host.crashed)
-
-    def broadcast_stream(
-        self,
-        count: int,
-        interval: float,
-        start_at: float = 0.0,
-        content: Callable[[int], object] = lambda seq: f"msg-{seq}",
-    ) -> None:
-        """Schedule ``count`` broadcasts, one every ``interval`` seconds."""
-        if count < 0 or interval <= 0:
-            raise ValueError("count must be >= 0 and interval positive")
-        for k in range(count):
-            self.sim.schedule_at(start_at + k * interval,
-                                 lambda k=k: self.source.broadcast(content(k + 1)))
-
-    def all_delivered(self, n: int, hosts: Optional[List[HostId]] = None) -> bool:
-        """True when every (given) host has delivered messages 1..n."""
-        targets = hosts if hosts is not None else self.built.hosts
-        return all(self.hosts[h].deliveries.has_all(n) for h in targets)
-
-    def run_until_delivered(
-        self,
-        n: int,
-        timeout: float,
-        hosts: Optional[List[HostId]] = None,
-        check_period: float = 0.5,
-    ) -> bool:
-        """Run until 1..n reach all (given) hosts or ``timeout`` elapses."""
-        deadline = self.runtime.now() + timeout
-        while self.runtime.now() < deadline:
-            if self.all_delivered(n, hosts):
-                return True
-            self.sim.run(until=min(self.runtime.now() + check_period, deadline))
-        return self.all_delivered(n, hosts)
-
-    def delivery_records(self):
-        """Per-host delivery records, keyed by host id."""
-        return {host_id: host.deliveries.records()
-                for host_id, host in self.hosts.items()}

@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 from ..core.delivery import DeliverCallback, DeliveryLog, DeliveryRecord
 from ..core.wire import DataMsg
-from ..io.interfaces import Runtime, Transport, as_runtime
+from ..io.interfaces import Runtime, Transport
 from ..net import HostId
 
 
@@ -21,17 +21,11 @@ class BaselineHostBase:
 
     def __init__(
         self,
-        sim: object,
+        runtime: Runtime,
         port: Transport,
         deliver_callback: Optional[DeliverCallback] = None,
     ) -> None:
-        """``sim`` accepts either a :class:`~repro.io.interfaces.Runtime`
-        or a bare :class:`~repro.sim.kernel.Simulator` (wrapped on the
-        fly); the parameter keeps its historic name."""
-        self.runtime: Runtime = as_runtime(sim)
-        #: the underlying simulator when running in-sim; None on real
-        #: backends (sim-side tooling may reach through this)
-        self.sim = getattr(self.runtime, "sim", None)
+        self.runtime = runtime
         self.port = port
         self.me = port.host_id
         self.deliveries = DeliveryLog(self.me, deliver_callback)
@@ -41,6 +35,13 @@ class BaselineHostBase:
         self._awaiting_recovery_delivery = False
         #: monotone stable-storage flush point; survives crashes
         self._flushed_prefix = 0
+
+    def start(self) -> "BaselineHostBase":
+        """Start periodic activity (none here); returns self."""
+        return self
+
+    def stop(self) -> None:
+        """Stop periodic activity (none here)."""
 
     def accept_data(self, msg: DataMsg, supplier: HostId) -> bool:
         """Record a data message; returns False for duplicates."""

@@ -1,10 +1,9 @@
 """Host crash/recovery injectors (the failure model's third leg).
 
 Both injectors drive a broadcast *system*'s ``crash_host`` /
-``recover_host`` lifecycle hooks (duck-typed: the tree protocol's
-:class:`~repro.core.engine.BroadcastSystem`, the baseline systems, and
-the real-socket :class:`~repro.io.node.UdpBroadcastSystem` all expose
-them), so one chaos harness exercises every protocol under test.  As
+``recover_host`` lifecycle hooks (every
+:class:`~repro.io.interfaces.Deployment` has them, in-sim or over real
+sockets), so one chaos harness exercises every protocol under test.  As
 with link and server failures, the injection is silent — the protocol
 must discover crashed peers through its own timeouts.
 

@@ -1,9 +1,8 @@
 """Unified command-line interface: ``python -m repro <subcommand>``.
 
-One front door for the three historical entry points::
+The one front door::
 
     python -m repro experiments [E1 E5 ...] [--seed N] [--jobs N] [--cache]
-    python -m repro perf [--quick] [--jobs N] [--json PATH]
     python -m repro sweep E21 --set n=10,20 --seeds 3 [--jobs N]
     python -m repro fuzz run --trials 50 --seed 7 --jobs 4
     python -m repro fuzz replay fuzz-artifacts/repro-7-3.json
@@ -13,10 +12,8 @@ One front door for the three historical entry points::
 Flags are consistent across subcommands: ``--seed`` overrides the RNG
 seed, ``--jobs`` fans work out over the process-pool engine
 (:mod:`repro.exec`) with bit-identical results, ``--json`` writes
-machine-readable output, ``--markdown`` emits GitHub tables.  The old
-module entry points (``python -m repro.experiments.cli``,
-``python -m repro.perf``) remain as shims over these implementations
-and emit the same tables.
+machine-readable output, ``--markdown`` emits GitHub tables.  Timing
+is the repo benchmark's job (``python -m bench``), not this CLI's.
 """
 
 from __future__ import annotations
@@ -308,22 +305,12 @@ def run_demo_command(args: argparse.Namespace) -> int:
     return 0 if result.match else 1
 
 
-# ----------------------------------------------------------------------
-# perf subcommand (implementation lives in repro.perf.__main__)
-# ----------------------------------------------------------------------
-
-
-def run_perf_command(args: argparse.Namespace) -> int:
-    from .perf.__main__ import run_perf
-
-    return run_perf(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Reliable-broadcast reproduction: experiments, perf "
-                    "benchmarks, and parameter sweeps under one CLI.")
+        description="Reliable-broadcast reproduction: experiments, "
+                    "parameter sweeps, the UDP demo and the chaos fuzzer "
+                    "under one CLI.")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     experiments = subparsers.add_parser(
@@ -331,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the E-series experiments (see --list).")
     add_experiments_args(experiments)
     experiments.set_defaults(func=run_experiments_command)
-
-    from .perf.__main__ import add_perf_args
-
-    perf = subparsers.add_parser(
-        "perf", help="run the pinned perf scenario matrix",
-        description="Run the perf matrix and write BENCH_<date>.json.")
-    add_perf_args(perf)
-    perf.set_defaults(func=run_perf_command)
 
     sweep = subparsers.add_parser(
         "sweep", help="sweep one experiment over parameter axes and seeds",

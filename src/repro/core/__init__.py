@@ -17,9 +17,7 @@ Stable public surface (``__all__``):
 
 Transport plumbing (:class:`PiggybackPort`, :class:`ControlBundle`,
 :class:`PortMux`, :class:`TaggedPayload`, :class:`VirtualPort`) lives in
-its canonical submodules (:mod:`repro.core.piggyback`,
-:mod:`repro.core.multisource`); the old ``repro.core.<Name>`` import
-paths keep working through a PEP 562 ``__getattr__`` deprecation shim.
+:mod:`repro.core.piggyback` and :mod:`repro.core.multisource`.
 """
 
 from .attachment import (
@@ -53,34 +51,6 @@ from .wire import (
     checksum_ok,
     corrupted_copy,
 )
-
-# Former top-level names whose canonical home is a submodule.  Importing
-# them from ``repro.core`` still works (PEP 562) but warns: they are
-# transport-layer plumbing, not protocol surface, and the Transport
-# protocol in :mod:`repro.io.interfaces` is the supported way to stack
-# or replace ports.
-_DEPRECATED = {
-    "ControlBundle": "repro.core.piggyback",
-    "PiggybackPort": "repro.core.piggyback",
-    "PortMux": "repro.core.multisource",
-    "TaggedPayload": "repro.core.multisource",
-    "VirtualPort": "repro.core.multisource",
-}
-
-
-def __getattr__(name: str):
-    module_name = _DEPRECATED.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    import warnings
-
-    warnings.warn(
-        f"importing {name} from repro.core is deprecated; "
-        f"import it from {module_name} instead",
-        DeprecationWarning, stacklevel=2)
-    return getattr(importlib.import_module(module_name), name)
-
 
 __all__ = [
     "AttachAck",

@@ -4,25 +4,66 @@
 plus :class:`~repro.core.host.BroadcastHost` agents for every host of a
 :class:`~repro.net.generator.BuiltTopology`, assigns the static linear
 order (the source gets the highest order, which makes the pre-broadcast
-trees inside each cluster gravitate toward it), and offers workload and
-convergence helpers shared by tests, examples, and benchmarks.
+trees inside each cluster gravitate toward it).  That assembly is
+:func:`build_tree_hosts`, which the UDP deployment
+(:mod:`repro.io.node`) shares; lifecycle, workload and convergence
+helpers come from :class:`~repro.io.simbackend.SimDeployment`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from ..io.simbackend import SimRuntime
+from ..io.interfaces import Runtime, Transport
+from ..io.simbackend import SimDeployment
 from ..net import BuiltTopology, HostId
-from ..sim import Simulator
 from .config import ClusterMode, ProtocolConfig
-from .delivery import DeliverCallback, DeliveryRecord
+from .delivery import DeliverCallback
 from .host import BroadcastHost
 from .piggyback import PiggybackPort
 from .source import SourceHost
 
 
-class BroadcastSystem:
+def build_tree_hosts(
+    runtime: Runtime,
+    host_ids: List[HostId],
+    source_id: HostId,
+    port_of: Callable[[HostId], Transport],
+    config: ProtocolConfig,
+    clusters: Iterable[Iterable[HostId]] = (),
+    deliver_callback: Optional[DeliverCallback] = None,
+) -> Dict[HostId, BroadcastHost]:
+    """One tree-protocol machine per host, on any backend.
+
+    Assigns the static linear order (the source is highest by
+    convention), makes ``source_id`` a :class:`SourceHost`, and hands
+    each member of ``clusters`` its a-priori cluster (pass none unless
+    the config's cluster mode is STATIC).
+    """
+    ordered = sorted(h for h in host_ids if h != source_id)
+    order = {host_id: idx for idx, host_id in enumerate(ordered)}
+    order[source_id] = len(ordered)
+    static_clusters: Dict[HostId, Set[HostId]] = {}
+    for cluster in clusters:
+        members = set(cluster)
+        for host_id in members:
+            static_clusters[host_id] = members
+    hosts: Dict[HostId, BroadcastHost] = {}
+    for host_id in host_ids:
+        cls = SourceHost if host_id == source_id else BroadcastHost
+        hosts[host_id] = cls(
+            runtime,
+            port=port_of(host_id),
+            participants=host_ids,
+            order=order.__getitem__,
+            config=config,
+            static_cluster=static_clusters.get(host_id),
+            deliver_callback=deliver_callback,
+        )
+    return hosts
+
+
+class BroadcastSystem(SimDeployment):
     """A complete single-source reliable-broadcast deployment."""
 
     def __init__(
@@ -31,7 +72,7 @@ class BroadcastSystem:
         config: Optional[ProtocolConfig] = None,
         source: Optional[HostId] = None,
         deliver_callback: Optional[DeliverCallback] = None,
-        port_of: Optional[Callable[[HostId], object]] = None,
+        port_of: Optional[Callable[[HostId], Transport]] = None,
     ) -> None:
         """Args:
             built: the topology to deploy over.
@@ -43,134 +84,19 @@ class BroadcastSystem:
                 systems pass virtual ports here (see
                 :mod:`repro.core.multisource`).
         """
-        self.built = built
-        self.network = built.network
-        self.sim: Simulator = built.network.sim
-        #: the one Runtime shared by every host of this deployment
-        self.runtime = SimRuntime(self.sim)
+        super().__init__(built, source)
         self.config = config or ProtocolConfig()
-        self.source_id = source if source is not None else built.source
-        if self.source_id not in built.hosts:
-            raise ValueError(f"source {self.source_id} is not a topology host")
         if port_of is None:
             port_of = self.network.host_port
         if self.config.enable_piggybacking:
             inner_port_of = port_of
             port_of = lambda h: PiggybackPort(
                 inner_port_of(h), window=self.config.piggyback_window)
-
-        self._order = self._assign_order(built.hosts, self.source_id)
-        static_clusters = self._static_clusters() \
-            if self.config.cluster_mode is ClusterMode.STATIC else {}
-
-        self.hosts: Dict[HostId, BroadcastHost] = {}
-        for host_id in built.hosts:
-            cls = SourceHost if host_id == self.source_id else BroadcastHost
-            self.hosts[host_id] = cls(
-                sim=self.runtime,
-                port=port_of(host_id),
-                participants=built.hosts,
-                order=self._order.__getitem__,
-                config=self.config,
-                static_cluster=static_clusters.get(host_id),
-                deliver_callback=deliver_callback,
-            )
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _assign_order(hosts: List[HostId], source: HostId) -> Dict[HostId, int]:
-        """Static linear order; the source is highest by convention."""
-        ordered = sorted(h for h in hosts if h != source)
-        order = {host_id: idx for idx, host_id in enumerate(ordered)}
-        order[source] = len(ordered)
-        return order
-
-    def _static_clusters(self) -> Dict[HostId, Set[HostId]]:
-        out: Dict[HostId, Set[HostId]] = {}
-        for cluster in self.network.true_clusters():
-            for host_id in cluster:
-                out[host_id] = set(cluster)
-        return out
-
-    # ------------------------------------------------------------------
-    # Lifecycle and workload
-    # ------------------------------------------------------------------
-
-    @property
-    def source(self) -> SourceHost:
-        """The source host agent (root of the broadcast)."""
-        host = self.hosts[self.source_id]
-        assert isinstance(host, SourceHost)
-        return host
-
-    def start(self) -> "BroadcastSystem":
-        """Start periodic activity; returns self for chaining."""
-        for host_id in self.built.hosts:
-            self.hosts[host_id].start()
-        return self
-
-    def stop(self) -> None:
-        """Stop periodic activity; safe to call more than once."""
-        for host in self.hosts.values():
-            host.stop()
-
-    def crash_host(self, host_id: HostId) -> None:
-        """Crash one host (volatile state lost, silent; idempotent)."""
-        self.hosts[host_id].crash()
-
-    def recover_host(self, host_id: HostId) -> None:
-        """Recover a crashed host (no-op when it is up)."""
-        self.hosts[host_id].recover()
-
-    def crashed_hosts(self) -> List[HostId]:
-        """Hosts currently down, sorted."""
-        return sorted(h for h, host in self.hosts.items() if host.crashed)
-
-    def broadcast_stream(
-        self,
-        count: int,
-        interval: float,
-        start_at: float = 0.0,
-        content: Callable[[int], object] = lambda seq: f"msg-{seq}",
-    ) -> None:
-        """Schedule ``count`` broadcasts, one every ``interval`` seconds."""
-        if count < 0 or interval <= 0:
-            raise ValueError("count must be >= 0 and interval positive")
-        for k in range(count):
-            self.sim.schedule_at(start_at + k * interval,
-                                 lambda k=k: self.source.broadcast(content(k + 1)))
-
-    # ------------------------------------------------------------------
-    # Convergence helpers
-    # ------------------------------------------------------------------
-
-    def all_delivered(self, n: int, hosts: Optional[List[HostId]] = None) -> bool:
-        """True when every (given) host has delivered messages 1..n."""
-        targets = hosts if hosts is not None else self.built.hosts
-        return all(self.hosts[h].deliveries.has_all(n) for h in targets)
-
-    def run_until_delivered(
-        self,
-        n: int,
-        timeout: float,
-        hosts: Optional[List[HostId]] = None,
-        check_period: float = 0.5,
-    ) -> bool:
-        """Run the simulation until 1..n reach all (given) hosts.
-
-        Returns True on success, False when ``timeout`` virtual seconds
-        elapse first.  The clock is left at the moment the condition was
-        first observed (checked every ``check_period``).
-        """
-        deadline = self.sim.now + timeout
-        while self.sim.now < deadline:
-            if self.all_delivered(n, hosts):
-                return True
-            self.sim.run(until=min(self.sim.now + check_period, deadline))
-        return self.all_delivered(n, hosts)
+        self.hosts = build_tree_hosts(
+            self.runtime, built.hosts, self.source_id, port_of, self.config,
+            clusters=(self.network.true_clusters()
+                      if self.config.cluster_mode is ClusterMode.STATIC else ()),
+            deliver_callback=deliver_callback)
 
     # ------------------------------------------------------------------
     # Structure inspection (used by verify/, tests, and benchmarks)
@@ -187,11 +113,6 @@ class BroadcastSystem:
     def leaders(self) -> List[HostId]:
         """Hosts currently acting as cluster leaders (Section 4.1 reading)."""
         return sorted(h for h, host in self.hosts.items() if host.is_cluster_leader)
-
-    def delivery_records(self) -> Dict[HostId, List[DeliveryRecord]]:
-        """Per-host delivery records, keyed by host id."""
-        return {host_id: host.deliveries.records()
-                for host_id, host in self.hosts.items()}
 
     def delivered_counts(self) -> Dict[HostId, int]:
         """Number of delivered messages per host."""

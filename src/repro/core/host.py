@@ -30,7 +30,6 @@ from ..io.interfaces import (
     Runtime,
     TimerHandle,
     Transport,
-    as_runtime,
 )
 from ..net import HostId, Packet
 from .attachment import AttachmentView, Candidate, plan_attachment
@@ -72,7 +71,7 @@ class BroadcastHost:
 
     def __init__(
         self,
-        sim: object,
+        runtime: Runtime,
         port: Transport,
         participants: Sequence[HostId],
         order: OrderFn,
@@ -80,14 +79,7 @@ class BroadcastHost:
         static_cluster: Optional[Set[HostId]] = None,
         deliver_callback: Optional[DeliverCallback] = None,
     ) -> None:
-        """``sim`` accepts either a :class:`~repro.io.interfaces.Runtime`
-        or a bare :class:`~repro.sim.kernel.Simulator` (wrapped on the
-        fly); the parameter keeps its historic name so existing keyword
-        call sites stay valid."""
-        self.runtime: Runtime = as_runtime(sim)
-        #: the underlying simulator when running in-sim; None on real
-        #: backends (tests and sim-side tooling may reach through this)
-        self.sim = getattr(self.runtime, "sim", None)
+        self.runtime = runtime
         self.port = port
         self.me = port.host_id
         self.config = config or ProtocolConfig()

@@ -1,14 +1,14 @@
 """Experiment harness: runners for every table/figure in DESIGN.md.
 
 Experiments are registered declaratively in
-:mod:`repro.experiments.registry` (:data:`REGISTRY`); ``ALL_RUNNERS``
-survives as a derived compatibility view.  The runners accept an
-optional executor from :mod:`repro.exec` to fan their grids out over
+:mod:`repro.experiments.registry` (:data:`REGISTRY`) and run from
+``python -m repro experiments``.  The runners accept an optional
+executor from :mod:`repro.exec` to fan their grids out over
 worker processes with bit-identical results.
 """
 
 from .records import ExperimentResult
-from .registry import ALL_RUNNERS, REGISTRY, ExperimentSpec, get_spec, run_registered
+from .registry import REGISTRY, ExperimentSpec, get_spec, run_registered
 from .runners import (
     run_e1_cost,
     run_e2_delay,
@@ -50,7 +50,6 @@ from .sweep import grid, sweep
 from .workload import bursty_stream, constant_rate_stream, poisson_stream
 
 __all__ = [
-    "ALL_RUNNERS",
     "REGISTRY",
     "ExperimentResult",
     "ExperimentSpec",

@@ -1,17 +1,13 @@
 """Declarative experiment registry: one :class:`ExperimentSpec` per table.
 
-This replaces the ad-hoc ``ALL_RUNNERS`` dict.  A spec knows its
-runner, its typed default parameters (introspected from the runner's
-signature), which parameter carries the RNG seed, and whether the
-runner accepts an :class:`~repro.exec.Executor` for intra-experiment
+A spec knows its runner, its typed default parameters (introspected
+from the runner's signature), which parameter carries the RNG seed, and
+whether the runner accepts an :class:`~repro.exec.Executor` for intra-experiment
 fan-out.  Seed threading is *normalized* here: ``spec.run(seed=...)``
 always lands on the right parameter, and registering a runner whose
 signature cannot accept its declared seed parameter fails loudly at
-import time instead of silently dropping ``--seed``.
-
-``ALL_RUNNERS`` remains as a derived compatibility view, and every
-``run_eN_*`` function stays importable from :mod:`repro.experiments` —
-no deprecation warnings, benchmarks keep working unchanged.
+import time instead of silently dropping ``--seed``.  Every
+``run_eN_*`` function is also importable from :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
@@ -189,11 +185,5 @@ for _exp_id, _runner in (
     ("E25", run_e25_saturation),
 ):
     register(_exp_id, _runner)
-
-
-#: backwards-compatible view of the old ad-hoc dict: id -> runner function
-ALL_RUNNERS: Dict[str, RunnerFn] = {
-    exp_id: spec.runner for exp_id, spec in REGISTRY.items()
-}
 
 del _exp_id, _runner

@@ -1731,17 +1731,3 @@ def run_e25_saturation(
         "row composes overload with E20-style host crash/recovery "
         "healing at load end")
     return result
-
-
-def __getattr__(name: str):  # PEP 562 back-compat shim
-    """``runners.ALL_RUNNERS`` now lives in :mod:`repro.experiments.registry`.
-
-    Importing it lazily avoids a circular import (the registry imports
-    every runner from this module) while keeping the old access path
-    working unchanged.
-    """
-    if name == "ALL_RUNNERS":
-        from .registry import ALL_RUNNERS
-
-        return ALL_RUNNERS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

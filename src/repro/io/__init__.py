@@ -4,9 +4,11 @@ This package is the seam between the pure protocol machines
 (:mod:`repro.core`, :mod:`repro.baseline`) and the world:
 
 * :mod:`repro.io.interfaces` — the :class:`Runtime` and
-  :class:`Transport` contracts the machines are written against;
+  :class:`Transport` contracts the machines are written against, and
+  the :class:`Deployment` harness every system class inherits;
 * :mod:`repro.io.simbackend` — the deterministic discrete-event
-  backend (adapters over :class:`repro.sim.Simulator`);
+  backend (:class:`SimRuntime` over :class:`repro.sim.Simulator`,
+  :class:`SimDeployment` over a built topology);
 * :mod:`repro.io.aio` / :mod:`repro.io.udp` / :mod:`repro.io.node` —
   the real-time backend: asyncio timers, localhost UDP sockets, and
   full-system assembly;
@@ -18,6 +20,7 @@ See DESIGN.md §14 for the architecture and the per-backend guarantees.
 
 from .interfaces import (
     CounterLike,
+    Deployment,
     HistogramLike,
     PeriodicHandle,
     ReceiveFn,
@@ -28,7 +31,7 @@ from .interfaces import (
     Transport,
     as_runtime,
 )
-from .simbackend import SimRuntime, SimTransport
+from .simbackend import SimDeployment, SimRuntime
 
 # Only the contracts and the sim adapters load eagerly.  Everything
 # else resolves lazily (PEP 562), for two reasons: the real-time
@@ -73,13 +76,14 @@ __all__ = [
     "CounterLike",
     "CrosscheckResult",
     "CrosscheckScenario",
+    "Deployment",
     "HistogramLike",
     "PeriodicHandle",
     "ReceiveFn",
     "Runtime",
     "SendTapFn",
+    "SimDeployment",
     "SimRuntime",
-    "SimTransport",
     "TapFn",
     "TimerHandle",
     "Transport",

@@ -23,6 +23,13 @@ Both are :func:`typing.runtime_checkable` Protocols, so conformance is
 structural — a backend never imports the protocol machines, and the
 machines never import a backend.
 
+:class:`Deployment` is the one harness every system class inherits
+(tree, basic and epidemic in-sim through
+:class:`repro.io.simbackend.SimDeployment`, tree over UDP through
+:class:`repro.io.node.UdpBroadcastSystem`): lifecycle, crash/recover,
+the broadcast workload and the convergence queries, written once
+against duck-typed hosts.  A backend supplies one hook, ``_call_at``.
+
 Contract notes (what every backend must guarantee):
 
 * ``now()`` is monotonically non-decreasing and starts near 0.0; all
@@ -50,6 +57,8 @@ import random
 from typing import (
     Any,
     Callable,
+    Dict,
+    List,
     Optional,
     Protocol,
     runtime_checkable,
@@ -214,13 +223,89 @@ class Transport(Protocol):
         ...
 
 
+class Deployment:
+    """One source and its hosts on some backend: the shared harness.
+
+    Hosts are duck-typed (``start``/``stop``/``crash``/``recover``/
+    ``crashed``/``deliveries``, plus ``broadcast`` on the source), so
+    this module still imports no protocol machine.  Subclasses fill
+    :attr:`hosts` and implement :meth:`_call_at`.
+    """
+
+    def __init__(self, runtime: Runtime, source_id: HostId) -> None:
+        #: the one Runtime shared by every host of this deployment
+        self.runtime = runtime
+        self.source_id = source_id
+        #: host id -> protocol machine, in deployment order
+        self.hosts: Dict[HostId, Any] = {}
+
+    def _call_at(self, time: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at absolute protocol time ``time``."""
+        raise NotImplementedError
+
+    @property
+    def source(self) -> Any:
+        """The source host agent (root of the broadcast)."""
+        return self.hosts[self.source_id]
+
+    def start(self) -> "Deployment":
+        """Start periodic activity; returns self for chaining."""
+        for host in self.hosts.values():
+            host.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop periodic activity; safe to call more than once."""
+        for host in self.hosts.values():
+            host.stop()
+
+    def crash_host(self, host_id: HostId) -> None:
+        """Crash one host (volatile state lost, silent; idempotent)."""
+        self.hosts[host_id].crash()
+
+    def recover_host(self, host_id: HostId) -> None:
+        """Recover a crashed host (no-op when it is up)."""
+        self.hosts[host_id].recover()
+
+    def crashed_hosts(self) -> List[HostId]:
+        """Hosts currently down, sorted."""
+        return sorted(h for h, host in self.hosts.items() if host.crashed)
+
+    def broadcast_stream(
+        self,
+        count: int,
+        interval: float,
+        start_at: float = 0.0,
+        content: Callable[[int], object] = lambda seq: f"msg-{seq}",
+    ) -> None:
+        """Schedule ``count`` broadcasts, one every ``interval`` protocol
+        seconds from ``start_at``."""
+        if count < 0 or interval <= 0:
+            raise ValueError("count must be >= 0 and interval positive")
+        for k in range(count):
+            self._call_at(start_at + k * interval,
+                          lambda k=k: self.source.broadcast(content(k + 1)))
+
+    def all_delivered(self, n: int,
+                      hosts: Optional[List[HostId]] = None) -> bool:
+        """True when every (given) host has delivered messages 1..n."""
+        targets = hosts if hosts is not None else self.hosts
+        return all(self.hosts[h].deliveries.has_all(n) for h in targets)
+
+    def delivery_records(self) -> Dict[HostId, List[Any]]:
+        """Per-host delivery records, keyed by host id."""
+        return {host_id: host.deliveries.records()
+                for host_id, host in self.hosts.items()}
+
+
 def as_runtime(runtime_or_sim: object) -> Runtime:
     """Coerce either a :class:`Runtime` or a bare ``Simulator``.
 
-    Protocol machines accept both so existing call sites (and tests)
-    that pass a ``Simulator`` keep working: a simulator is wrapped in a
+    For harness-side code (:mod:`repro.chaos`) whose callers may hold
+    either: a simulator is wrapped in a
     :class:`~repro.io.simbackend.SimRuntime` on the fly; anything
-    already satisfying :class:`Runtime` passes through untouched.
+    already satisfying :class:`Runtime` passes through untouched.  The
+    protocol machines take a :class:`Runtime` only.
     """
     if isinstance(runtime_or_sim, Runtime):
         return runtime_or_sim

@@ -1,11 +1,13 @@
 """UDP deployment assembly: the protocol over real sockets.
 
-:class:`UdpBroadcastSystem` mirrors :class:`repro.core.engine.BroadcastSystem`
-— same order assignment, same host construction, same workload and
-convergence helpers — but deploys every host over its own localhost UDP
-socket driven by one shared :class:`~repro.io.aio.AsyncioRuntime`.  The
-protocol machines are byte-for-byte the classes validated in-sim; only
-the Runtime/Transport objects handed to them differ.
+:class:`UdpBroadcastSystem` is the same
+:class:`~repro.io.interfaces.Deployment` harness and the same tree-host
+assembly (:func:`repro.core.engine.build_tree_hosts`) as the in-sim
+:class:`~repro.core.engine.BroadcastSystem`, with every host on its own
+localhost UDP socket driven by one shared
+:class:`~repro.io.aio.AsyncioRuntime`.  The protocol machines are
+byte-for-byte the classes validated in-sim; only the Runtime/Transport
+objects handed to them differ.
 
 Deployment model notes:
 
@@ -17,6 +19,9 @@ Deployment model notes:
   never collide; the full peer address map is distributed to every
   transport after all sockets are bound — playing the role of the
   routing tables the sim network maintains.
+* A crashed host's socket stays bound — it drops inbound datagrams
+  itself, exactly like the sim model (the network keeps routing to a
+  dead host; it just answers nothing).
 * All hosts run in one process on one event loop.  That is a harness
   simplification (one Python process is the "network"), not a protocol
   one: hosts still communicate exclusively through their sockets.
@@ -26,15 +31,14 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.config import ClusterMode, ProtocolConfig
 from ..core.delivery import DeliverCallback
-from ..core.engine import BroadcastSystem
-from ..core.host import BroadcastHost
-from ..core.source import SourceHost
+from ..core.engine import build_tree_hosts
 from ..net.addressing import HostId
 from .aio import AsyncioRuntime
+from .interfaces import Deployment
 from .udp import UdpTransport
 
 
@@ -48,7 +52,7 @@ def cluster_names(clusters: int, hosts_per_cluster: int) -> List[List[str]]:
             for c in range(clusters)]
 
 
-class UdpBroadcastSystem:
+class UdpBroadcastSystem(Deployment):
     """A complete broadcast deployment over localhost UDP sockets.
 
     Args:
@@ -63,6 +67,8 @@ class UdpBroadcastSystem:
         deliver_callback: invoked on every delivery at every host.
         trace: retain trace records on the shared runtime.
     """
+
+    runtime: AsyncioRuntime
 
     def __init__(
         self,
@@ -80,10 +86,12 @@ class UdpBroadcastSystem:
             raise ValueError("need at least one host")
         if len(set(names)) != len(names):
             raise ValueError("host names must be distinct")
-        self.host_ids: List[HostId] = [HostId(n) for n in names]
-        self.source_id = HostId(source) if source is not None else self.host_ids[0]
-        if self.source_id not in self.host_ids:
-            raise ValueError(f"source {self.source_id} is not a deployment host")
+        host_ids = [HostId(n) for n in names]
+        source_id = HostId(source) if source is not None else host_ids[0]
+        if source_id not in host_ids:
+            raise ValueError(f"source {source_id} is not a deployment host")
+        super().__init__(AsyncioRuntime(seed=seed, time_scale=time_scale,
+                                        trace=trace), source_id)
 
         config = config or ProtocolConfig.for_scale(len(names))
         if config.cluster_mode is not ClusterMode.STATIC:
@@ -92,119 +100,46 @@ class UdpBroadcastSystem:
                                          cluster_mode=ClusterMode.STATIC)
         self.config = config
 
-        self.runtime = AsyncioRuntime(seed=seed, time_scale=time_scale,
-                                      trace=trace)
-        self._order = BroadcastSystem._assign_order(self.host_ids, self.source_id)
-
-        static_clusters: Dict[HostId, Set[HostId]] = {}
-        for cluster in clusters:
-            members = {HostId(n) for n in cluster}
-            for name in cluster:
-                static_clusters[HostId(name)] = members
-
         self.transports: Dict[HostId, UdpTransport] = {
-            h: UdpTransport(self.runtime, h, peers={}) for h in self.host_ids}
-        self.hosts: Dict[HostId, BroadcastHost] = {}
-        for host_id in self.host_ids:
-            cls = SourceHost if host_id == self.source_id else BroadcastHost
-            self.hosts[host_id] = cls(
-                sim=self.runtime,
-                port=self.transports[host_id],
-                participants=self.host_ids,
-                order=self._order.__getitem__,
-                config=self.config,
-                static_cluster=static_clusters.get(host_id),
-                deliver_callback=deliver_callback,
-            )
+            h: UdpTransport(self.runtime, h, peers={}) for h in host_ids}
+        self.hosts = build_tree_hosts(
+            self.runtime, host_ids, source_id,
+            self.transports.__getitem__, config,
+            clusters=[[HostId(n) for n in cluster] for cluster in clusters],
+            deliver_callback=deliver_callback)
         self._opened = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    @property
-    def source(self) -> SourceHost:
-        """The source host agent (root of the broadcast)."""
-        host = self.hosts[self.source_id]
-        assert isinstance(host, SourceHost)
-        return host
-
     async def open(self, host: str = "127.0.0.1") -> "UdpBroadcastSystem":
         """Bind every socket, distribute the peer map, start the hosts."""
         if self._opened:
             return self
         self._opened = True
-        addresses = {}
-        for host_id, transport in self.transports.items():
+        for transport in self.transports.values():
             await transport.open((host, 0))
-            sock = transport._sock
-            assert sock is not None
-            addresses[host_id] = sock.get_extra_info("sockname")[:2]
+        addresses = {host_id: transport.local_address
+                     for host_id, transport in self.transports.items()}
         for transport in self.transports.values():
             transport.peers.update(addresses)
-        for host_id in self.host_ids:
-            self.hosts[host_id].start()
+        self.start()
         return self
 
     def close(self) -> None:
         """Stop all hosts and close every socket."""
-        for host in self.hosts.values():
-            host.stop()
+        self.stop()
         for transport in self.transports.values():
             transport.close()
         self._opened = False
-
-    # ------------------------------------------------------------------
-    # Failure lifecycle (the surface the chaos injectors drive)
-    # ------------------------------------------------------------------
-
-    def crash_host(self, host_id: HostId) -> None:
-        """Crash one host (volatile state lost, silent; idempotent).
-
-        The socket stays bound — a crashed host drops inbound datagrams
-        itself, exactly like the sim model (the network keeps routing to
-        a dead host; it just answers nothing).
-        """
-        self.hosts[host_id].crash()
-
-    def recover_host(self, host_id: HostId) -> None:
-        """Recover a crashed host (no-op when it is up)."""
-        self.hosts[host_id].recover()
-
-    def crashed_hosts(self) -> List[HostId]:
-        """Hosts currently down, sorted."""
-        return sorted(h for h, host in self.hosts.items() if host.crashed)
 
     def parent_edges(self) -> Dict[HostId, Optional[HostId]]:
         """Current host parent graph as child -> parent (oracle view)."""
         return {host_id: host.parent for host_id, host in self.hosts.items()}
 
-    # ------------------------------------------------------------------
-    # Workload and convergence (API parity with BroadcastSystem)
-    # ------------------------------------------------------------------
-
-    def broadcast_stream(
-        self,
-        count: int,
-        interval: float,
-        start_at: float = 0.0,
-        content: Callable[[int], object] = lambda seq: f"msg-{seq}",
-    ) -> None:
-        """Schedule ``count`` broadcasts, one every ``interval`` protocol
-        seconds, through the runtime's timers."""
-        if count < 0 or interval <= 0:
-            raise ValueError("count must be >= 0 and interval positive")
-        now = self.runtime.now()
-        for k in range(count):
-            delay = max(0.0, start_at + k * interval - now)
-            self.runtime.start_timer(
-                delay, lambda k=k: self.source.broadcast(content(k + 1)))
-
-    def all_delivered(self, n: int,
-                      hosts: Optional[List[HostId]] = None) -> bool:
-        """True when every (given) host has delivered messages 1..n."""
-        targets = hosts if hosts is not None else self.host_ids
-        return all(self.hosts[h].deliveries.has_all(n) for h in targets)
+    def _call_at(self, time: float, callback: Callable[[], None]) -> None:
+        self.runtime.start_timer(max(0.0, time - self.runtime.now()), callback)
 
     async def run_until_delivered(self, n: int, timeout: float,
                                   hosts: Optional[List[HostId]] = None,
@@ -220,5 +155,5 @@ class UdpBroadcastSystem:
 
     def delivered_seqnos(self) -> Dict[str, List[int]]:
         """Per-host sorted delivered sequence numbers (the parity unit)."""
-        return {str(h): sorted(r.seq for r in self.hosts[h].deliveries.records())
-                for h in self.host_ids}
+        return {str(h): sorted(r.seq for r in host.deliveries.records())
+                for h, host in self.hosts.items()}

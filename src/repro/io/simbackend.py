@@ -12,26 +12,25 @@ are bound straight to the simulator's own methods at construction, so
 the adapter adds **zero** per-call indirection on the protocol's
 hottest paths — ``runtime.trace(...)`` *is* ``sim.trace.emit(...)``.
 
-:class:`SimTransport` wraps any sim-side port (a raw
-:class:`~repro.net.hostiface.HostPort`, a
-:class:`~repro.core.piggyback.PiggybackPort`, or a multi-source
-:class:`~repro.core.multisource.VirtualPort`) behind the
-:class:`~repro.io.interfaces.Transport` contract.  All three port
-classes already satisfy the contract natively — the wrapper exists for
-call sites that want an explicit adapter object (and for tests proving
-that wrapping is transparent); system assembly passes the ports
-directly to avoid a delegation layer on the send path.
+The sim-side ports (:class:`~repro.net.hostiface.HostPort`,
+:class:`~repro.core.piggyback.PiggybackPort`, the multi-source
+:class:`~repro.core.multisource.VirtualPort`) satisfy the
+:class:`~repro.io.interfaces.Transport` contract natively, so system
+assembly hands them to the machines directly.
+
+:class:`SimDeployment` is the in-sim half of the one deployment harness
+(:class:`~repro.io.interfaces.Deployment`): the tree, basic and
+epidemic system classes each add only a constructor to it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 from ..net.addressing import HostId
-from ..net.message import Packet, Payload
 from ..sim import PeriodicTask, Simulator, Timer
-from .interfaces import ReceiveFn, SendTapFn, TapFn
+from .interfaces import Deployment
 
 
 class SimRuntime:
@@ -105,59 +104,42 @@ class SimRuntime:
         def rng(self, name: str) -> random.Random: ...
 
 
-class SimTransport:
-    """Explicit Transport adapter over any sim-side port.
+class SimDeployment(Deployment):
+    """A :class:`~repro.io.interfaces.Deployment` over a simulated
+    topology (a :class:`~repro.net.generator.BuiltTopology`)."""
 
-    Pure delegation — including the tap attributes, which forward to
-    the wrapped port so an injector tapping either object taps both.
-    """
+    def __init__(self, built: Any, source: Optional[HostId] = None) -> None:
+        """``source`` defaults to the topology's first host."""
+        self.built = built
+        self.network = built.network
+        self.sim: Simulator = built.network.sim
+        source_id = source if source is not None else built.source
+        if source_id not in built.hosts:
+            raise ValueError(f"source {source_id} is not a topology host")
+        super().__init__(SimRuntime(self.sim), source_id)
 
-    def __init__(self, port: Any) -> None:
-        self.port = port
+    def _call_at(self, time: float, callback: Callable[[], None]) -> None:
+        # The absolute time, not now + (time - now): a different float
+        # would move every pinned delivery signature.
+        self.sim.schedule_at(time, callback)
 
-    @property
-    def host_id(self) -> HostId:
-        """The host this transport belongs to."""
-        return self.port.host_id
+    def run_until_delivered(
+        self,
+        n: int,
+        timeout: float,
+        hosts: Optional[List[HostId]] = None,
+        check_period: float = 0.5,
+    ) -> bool:
+        """Run the simulation until 1..n reach all (given) hosts.
 
-    @property
-    def tap(self) -> Optional[TapFn]:
-        """Inbound delivery tap (forwards to the wrapped port)."""
-        return self.port.tap
-
-    @tap.setter
-    def tap(self, value: Optional[TapFn]) -> None:
-        self.port.tap = value
-
-    @property
-    def send_tap(self) -> Optional[SendTapFn]:
-        """Outbound send tap (forwards to the wrapped port)."""
-        return self.port.send_tap
-
-    @send_tap.setter
-    def send_tap(self, value: Optional[SendTapFn]) -> None:
-        self.port.send_tap = value
-
-    def set_receiver(self, callback: ReceiveFn) -> None:
-        """Register the application callback for inbound packets."""
-        self.port.set_receiver(callback)
-
-    def send(self, dst: HostId, payload: Payload) -> None:
-        """Fire-and-forget unicast (runs the send tap first)."""
-        self.port.send(dst, payload)
-
-    def send_raw(self, dst: HostId, payload: Payload) -> None:
-        """Transmit bypassing the send tap."""
-        self.port.send_raw(dst, payload)
-
-    def inject(self, packet: Packet) -> None:
-        """Deliver inbound bypassing the tap."""
-        self.port.inject(packet)
-
-    def local_time(self) -> float:
-        """This host's local clock reading."""
-        return self.port.local_time()
-
-    def queue_length(self) -> int:
-        """Outbound queue depth of the wrapped port."""
-        return self.port.queue_length()
+        Returns True on success, False when ``timeout`` virtual seconds
+        elapse first.  The clock is left at the moment the condition was
+        first observed (checked every ``check_period``).
+        """
+        sim = self.sim
+        deadline = sim.now + timeout
+        while sim.now < deadline:
+            if self.all_delivered(n, hosts):
+                return True
+            sim.run(until=min(sim.now + check_period, deadline))
+        return self.all_delivered(n, hosts)

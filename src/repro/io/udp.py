@@ -103,6 +103,8 @@ class UdpTransport(asyncio.DatagramProtocol):
         #: optional outbound tap (adversary persona hook)
         self.send_tap: Optional[SendTapFn] = None
         self._sock: Optional[asyncio.DatagramTransport] = None
+        #: the (host, port) actually bound by :meth:`open`; None before
+        self.local_address: Optional[SockAddr] = None
         self._closed = False
         self._c_sent = None
         self._c_recv = None
@@ -152,6 +154,7 @@ class UdpTransport(asyncio.DatagramProtocol):
                 addr = (local_addr[0], 0)  # let the OS pick instead
                 continue
             self._sock = sock  # type: ignore[assignment]
+            self.local_address = sock.get_extra_info("sockname")[:2]
             self._closed = False
             return self
         assert last_error is not None

@@ -1,42 +1,22 @@
-"""Performance benchmarking harness (``python -m repro.perf``).
+"""The pinned deterministic scenario set.
 
-The perf subsystem pins a small matrix of scenarios — a synthetic
-kernel-throughput micro-benchmark plus representative experiment
-workloads (E2 delay, E5 congestion, E20 host churn) — runs them under a
-wall-clock/RSS harness, and records the results in a schema-versioned
-``BENCH_<date>.json`` file.  :mod:`repro.perf.compare` diffs two bench
-files and fails (exit status 1) on throughput regressions beyond a
-threshold, which is what CI's regression gate runs on pull requests.
+:mod:`repro.perf.scenarios` holds a synthetic kernel-throughput
+micro-benchmark plus representative experiment workloads (E2 delay, E5
+congestion, E20 host churn, E21 packet chaos, E25 saturation).  Every
+scenario is deterministic for a given seed: the same seed must produce
+the same ``events_executed``, delivery sequences, and trace-kind
+summary on every run (the seed-determinism guard test in ``tests/perf``
+enforces this — it is the regression net for all hot-path rewrites).
 
-Every scenario is deterministic for a given seed: the same seed must
-produce the same ``events_executed``, delivery sequences, and
-trace-kind summary on every run (the seed-determinism guard test in
-``tests/perf`` enforces this — it is the regression net for all
-hot-path rewrites).
+Timing lives elsewhere: the repo benchmark (``python -m bench``,
+``bench/README.md``) is the only perf harness and reuses these
+scenarios and :meth:`ScenarioRun.delivery_signature`.
 """
 
-from .compare import CompareResult, compare_bench_files, compare_payloads
-from .harness import (
-    SCHEMA_VERSION,
-    BenchResult,
-    default_output_path,
-    load_bench_file,
-    run_matrix,
-    write_bench_file,
-)
 from .scenarios import SCENARIOS, Scenario, ScenarioRun
 
 __all__ = [
     "SCENARIOS",
-    "SCHEMA_VERSION",
-    "BenchResult",
-    "CompareResult",
     "Scenario",
     "ScenarioRun",
-    "compare_bench_files",
-    "compare_payloads",
-    "default_output_path",
-    "load_bench_file",
-    "run_matrix",
-    "write_bench_file",
 ]

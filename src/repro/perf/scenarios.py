@@ -1,13 +1,12 @@
-"""The pinned benchmark scenario matrix.
+"""The pinned scenario matrix.
 
 Each scenario is a deterministic, self-contained simulation run.  The
-harness (:mod:`repro.perf.harness`) wraps these in wall-clock and RSS
-measurement; the seed-determinism guard tests run them twice and demand
-bit-identical outcomes.
+seed-determinism guard tests run them twice and demand bit-identical
+outcomes; the repo benchmark (``bench/``) times the kernel scenario and
+hashes :meth:`ScenarioRun.delivery_signature` into its run signature.
 
-Scenario parameters are **pinned**: changing them invalidates every
-recorded ``BENCH_*.json`` comparison, so treat edits like a schema bump
-(see ``SCHEMA_VERSION`` in :mod:`repro.perf.harness`).
+Scenario parameters are **pinned**: changing them changes what the
+determinism guard and the benchmark's kernel driver measure.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-from ..io.interfaces import Runtime, as_runtime
+from ..io.interfaces import Runtime
 from .invariants import find_parent_cycles
 
 #: structural violation key: ("harmful_cycle", h1, h2, ...) or
@@ -95,11 +95,9 @@ class MonitorReport:
 class InvariantMonitor:
     """Periodically samples safety invariants over a live system.
 
-    ``system`` is duck-typed: anything exposing ``hosts`` (id → host),
-    ``parent_edges()``, and either a ``sim`` (simulator backend) or a
-    ``runtime`` (:class:`~repro.io.interfaces.Runtime`) attribute works
-    — both :class:`~repro.core.engine.BroadcastSystem` and
-    :class:`~repro.io.node.UdpBroadcastSystem` qualify.
+    ``system`` is any tree :class:`~repro.io.interfaces.Deployment`
+    with ``parent_edges()`` — :class:`~repro.core.engine.BroadcastSystem`
+    in-sim, :class:`~repro.io.node.UdpBroadcastSystem` over sockets.
     """
 
     def __init__(
@@ -111,10 +109,7 @@ class InvariantMonitor:
         if sample_period <= 0 or stable_window <= 0:
             raise ValueError("sample_period and stable_window must be positive")
         self.system = system
-        backend = getattr(system, "sim", None)
-        if backend is None:
-            backend = system.runtime
-        self.runtime: Runtime = as_runtime(backend)
+        self.runtime: Runtime = system.runtime
         self.sample_period = sample_period
         self.stable_window = stable_window
         self._samples = 0

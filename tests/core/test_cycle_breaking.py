@@ -53,7 +53,7 @@ def test_cycle_broken_by_highest_order_member():
                 host.parent is None:
             breakers.append(name)
     # Exactly the highest-order member acted (detached and re-planned).
-    orders = {n: system._order[HostId(n)] for n in names}
+    orders = {n: system.source.order(HostId(n)) for n in names}
     highest = max(names, key=orders.get)
     assert breakers == [highest]
     assert sim.metrics.counter("proto.cycle.detected").value >= 1
@@ -83,7 +83,7 @@ def test_lower_order_members_wait():
     system = BroadcastSystem(built, config=ProtocolConfig.for_scale(8))
     names = ["h1.0", "h1.1", "h1.2"]
     engineer_cycle(system, names)
-    orders = {n: system._order[HostId(n)] for n in names}
+    orders = {n: system.source.order(HostId(n)) for n in names}
     lowest = min(names, key=orders.get)
     host = system.hosts[HostId(lowest)]
     parent_before = host.parent

@@ -35,8 +35,8 @@ def test_unknown_source_rejected():
 
 def test_source_has_highest_static_order():
     _, built, system = build()
-    source_order = system._order[system.source_id]
-    assert all(system._order[h] < source_order
+    order = system.source.order
+    assert all(order(h) < order(system.source_id)
                for h in built.hosts if h != system.source_id)
 
 

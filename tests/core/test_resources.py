@@ -167,10 +167,10 @@ class TestOutboundShedding:
         host.store[1] = type("Stored", (), {
             "seq": 1, "content": "x", "created_at": 0.0, "origin": None})()
         host.port.queue_length = lambda: 5  # saturated access link
-        before = host.sim.metrics.counter("proto.shed.outbound").value
+        before = system.sim.metrics.counter("proto.shed.outbound").value
         host._send_data(HostId("h1.1"), 1, gapfill=False)
-        assert host.sim.metrics.counter("proto.shed.outbound").value == before + 1
-        records = [r for r in host.sim.trace.records(kind="host.shed")
+        assert system.sim.metrics.counter("proto.shed.outbound").value == before + 1
+        records = [r for r in system.sim.trace.records(kind="host.shed")
                    if r.fields["buffer"] == "outbound"]
         assert records and records[-1].fields["policy"] == "drop_newest"
 
@@ -181,8 +181,8 @@ class TestOutboundShedding:
         host.store[1] = type("Stored", (), {
             "seq": 1, "content": "x", "created_at": 0.0, "origin": None})()
         host._send_data(HostId("h1.1"), 1, gapfill=False)
-        assert host.sim.metrics.counter("proto.shed.outbound").value == 0
-        assert host.sim.metrics.counter("proto.data.forwarded").value == 1
+        assert system.sim.metrics.counter("proto.shed.outbound").value == 0
+        assert system.sim.metrics.counter("proto.data.forwarded").value == 1
 
 
 class TestAdmissionControl:

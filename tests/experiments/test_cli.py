@@ -1,9 +1,14 @@
-"""Tests for the experiments CLI: the legacy shim and the unified front door."""
+"""Tests for the unified CLI: ``python -m repro <subcommand>``."""
 
 import json
 
+import pytest
+
 from repro.cli import main as unified_main
-from repro.experiments.cli import main
+
+
+def main(argv):
+    return unified_main(["experiments", *argv])
 
 
 def test_list(capsys):
@@ -46,12 +51,6 @@ def test_json_output(tmp_path, capsys):
 
 
 class TestUnifiedCli:
-    def test_experiments_subcommand_matches_legacy_shim(self, capsys):
-        assert main(["E9", "--markdown"]) == 0
-        legacy = capsys.readouterr().out
-        assert unified_main(["experiments", "E9", "--markdown"]) == 0
-        assert capsys.readouterr().out == legacy
-
     def test_experiments_list(self, capsys):
         assert unified_main(["experiments", "--list"]) == 0
         out = capsys.readouterr().out
@@ -101,6 +100,8 @@ class TestUnifiedCli:
         assert unified_main(["sweep", "E9", "--set", "bogus=1,2"]) == 2
         assert "no parameter 'bogus'" in capsys.readouterr().err
 
-    def test_perf_list_scenarios(self, capsys):
-        assert unified_main(["perf", "--list"]) == 0
-        assert "kernel_throughput" in capsys.readouterr().out
+    def test_subcommands_are_exactly_the_four(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            unified_main(["perf", "--list"])
+        assert exit_info.value.code == 2
+        assert "{experiments,sweep,demo,fuzz}" in capsys.readouterr().err

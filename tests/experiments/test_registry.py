@@ -1,8 +1,10 @@
-"""The declarative experiment registry and its compatibility surface."""
+"""The declarative experiment registry."""
+
+from pathlib import Path
 
 import pytest
 
-from repro.experiments import ALL_RUNNERS, REGISTRY, ExperimentSpec, get_spec
+from repro.experiments import REGISTRY, ExperimentSpec, get_spec
 from repro.experiments import runners as runners_module
 from repro.experiments.records import ExperimentResult
 from repro.experiments.registry import run_registered
@@ -86,17 +88,12 @@ class TestRegistry:
         assert result.experiment_id == "E9"
 
 
-class TestCompatibility:
-    def test_all_runners_view_matches_registry(self):
-        assert set(ALL_RUNNERS) == set(REGISTRY)
-        for exp_id, runner in ALL_RUNNERS.items():
-            assert REGISTRY[exp_id].runner is runner
-
-    def test_runners_module_attribute_still_works(self):
-        # Old call sites did `from .runners import ALL_RUNNERS`; the
-        # PEP 562 shim keeps that import path alive.
-        assert runners_module.ALL_RUNNERS is ALL_RUNNERS
-
-    def test_runners_module_unknown_attribute_raises(self):
-        with pytest.raises(AttributeError):
-            runners_module.no_such_runner
+def test_results_md_has_a_table_for_every_registered_experiment():
+    """RESULTS.md is `python -m repro experiments --markdown`, committed;
+    an experiment added without regenerating it shows up here."""
+    results = (Path(__file__).resolve().parents[2] / "RESULTS.md").read_text()
+    headings = [line for line in results.splitlines()
+                if line.startswith("### ")]
+    missing = [exp_id for exp_id in REGISTRY
+               if not any(h.startswith(f"### {exp_id}: ") for h in headings)]
+    assert not missing, f"regenerate RESULTS.md; no table for {missing}"

@@ -10,7 +10,7 @@ a whole space of adversarial-but-fair runs.
 
 import os
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import ChaosPlan, ChaosSpec, HostChurnSpec, LinkChurnSpec
@@ -26,10 +26,16 @@ outage_strategy = st.tuples(
     st.floats(min_value=1.0, max_value=10.0),
 )
 
-#: CI's non-blocking chaos job raises this for a deeper sweep
+#: Tier-1 replays the same examples every run.  CI's non-blocking chaos
+#: job sets CHAOS_MAX_EXAMPLES for a deeper sweep, and only then does
+#: Hypothesis keep exploring fresh draws.
 CHAOS_SETTINGS = settings(
     max_examples=int(os.environ.get("CHAOS_MAX_EXAMPLES", "12")),
+    derandomize="CHAOS_MAX_EXAMPLES" not in os.environ,
     deadline=None)
+
+HEAL_BY = 45.0
+STABLE_WINDOW = 25.0
 
 
 @CHAOS_SETTINGS
@@ -95,6 +101,14 @@ def test_host_crash_model_recovers(seed, crash_at, heal_after):
 
 
 @CHAOS_SETTINGS
+# Both once failed on a span that was open *during* the chaos window
+# (h1.0->h1.1 24.0-51.0, h2.0->h2.1 12.0-37.0); see the last assertion.
+@example(seed=797, host_mean_up=13.0, host_mean_down=4.0, link_mean_up=6.0,
+         link_mean_down=4.0, lag=0)
+@example(seed=797, host_mean_up=13.0, host_mean_down=4.0, link_mean_up=6.0,
+         link_mean_down=4.0, lag=3)
+@example(seed=158, host_mean_up=15.0, host_mean_down=2.0, link_mean_up=6.0,
+         link_mean_down=3.0, lag=1)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        host_mean_up=st.floats(min_value=6.0, max_value=20.0),
        host_mean_down=st.floats(min_value=1.0, max_value=5.0),
@@ -106,17 +120,18 @@ def test_combined_host_and_link_churn_heals_and_delivers(
         lag):
     """Real host crashes (volatile state lost) plus link churn, all
     healing before the horizon: the full stream is still delivered and
-    the invariant monitor reports no stable violation."""
+    no invariant violation persists for a stable window *after the
+    heal*."""
     sim = Simulator(seed=seed)
     built = wan_of_lans(sim, clusters=3, hosts_per_cluster=2, backbone="ring")
     system = BroadcastSystem(
         built,
         config=ProtocolConfig.for_scale(6, crash_stable_lag=lag)).start()
     monitor = InvariantMonitor(system, sample_period=1.0,
-                               stable_window=25.0).start()
+                               stable_window=STABLE_WINDOW).start()
     hosts = tuple(str(h) for h in built.hosts if h != system.source_id)
     spec = ChaosSpec(
-        heal_by=45.0,
+        heal_by=HEAL_BY,
         host_churn=(HostChurnSpec(hosts, mean_up=host_mean_up,
                                   mean_down=host_mean_down),),
         link_churn=(LinkChurnSpec(tuple(built.backbone),
@@ -136,5 +151,10 @@ def test_combined_host_and_link_churn_heals_and_delivers(
                     if not host.deliveries.has_all(10)},
     }
     monitor.stop()
-    report = monitor.report()
-    assert report.clean, report.stable_violations
+    # The monitor times a span from its first sighting, which may lie
+    # inside the chaos window where violations are expected.  The claim
+    # here is post-heal, so only the part of a span after HEAL_BY counts.
+    stable_after_heal = [
+        span for span in monitor.report().spans
+        if span.last_seen - max(span.first_seen, HEAL_BY) >= STABLE_WINDOW]
+    assert not stable_after_heal, stable_after_heal

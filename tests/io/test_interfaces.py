@@ -8,7 +8,6 @@ from repro.io import (
     AsyncioRuntime,
     Runtime,
     SimRuntime,
-    SimTransport,
     Transport,
     UdpTransport,
     as_runtime,
@@ -50,11 +49,6 @@ class TestTransportConformance:
         sim, built = built_network()
         mux = PortMux(built.network.host_port(HostId("h0.0")))
         assert isinstance(mux.port_for("inst"), Transport)
-
-    def test_sim_transport_conforms(self):
-        sim, built = built_network()
-        wrapper = SimTransport(built.network.host_port(HostId("h0.0")))
-        assert isinstance(wrapper, Transport)
 
     def test_udp_transport_conforms(self):
         transport = UdpTransport(AsyncioRuntime(seed=0), HostId("a"),

@@ -1,8 +1,8 @@
-"""SimRuntime/SimTransport adapter semantics over the event kernel."""
+"""SimRuntime adapter semantics over the event kernel."""
 
 from repro.core import BroadcastSystem, ProtocolConfig
-from repro.io import SimRuntime, SimTransport
-from repro.net import HostId, RawPayload, wan_of_lans
+from repro.io import SimRuntime
+from repro.net import wan_of_lans
 from repro.sim import Simulator
 
 
@@ -122,32 +122,3 @@ class TestHostTimerHygiene:
                    for task in host._tasks)
         system.broadcast_stream(2, interval=1.0, start_at=sim.now + 1.0)
         assert system.run_until_delivered(2, timeout=120.0)
-
-
-class TestSimTransportWrapper:
-    def build_port(self):
-        sim = Simulator(seed=0)
-        built = wan_of_lans(sim, clusters=1, hosts_per_cluster=2)
-        return sim, built.network.host_port(HostId("h0.0")), \
-            built.network.host_port(HostId("h0.1"))
-
-    def test_wrapping_is_transparent_for_send(self):
-        sim, port_a, port_b = self.build_port()
-        got = []
-        port_b.set_receiver(got.append)
-        SimTransport(port_a).send(HostId("h0.1"), RawPayload(size_bits=64))
-        sim.run(until=60.0)
-        assert len(got) == 1
-        assert got[0].src == HostId("h0.0")
-
-    def test_tap_forwards_to_wrapped_port(self):
-        sim, port_a, _ = self.build_port()
-        wrapper = SimTransport(port_a)
-        tap = lambda packet: True  # noqa: E731
-        wrapper.tap = tap
-        assert port_a.tap is tap
-        sent = []
-        wrapper.send_tap = lambda dst, payload: sent.append(dst) or True
-        wrapper.send(HostId("h0.1"), RawPayload())
-        assert sent == [HostId("h0.1")]
-        assert wrapper.queue_length() == port_a.queue_length()

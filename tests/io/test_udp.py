@@ -18,8 +18,8 @@ async def open_pair(runtime):
     await ta.open(("127.0.0.1", 0))
     await tb.open(("127.0.0.1", 0))
     addresses = {
-        a: ta._sock.get_extra_info("sockname")[:2],
-        b: tb._sock.get_extra_info("sockname")[:2],
+        a: ta.local_address,
+        b: tb.local_address,
     }
     ta.peers.update(addresses)
     tb.peers.update(addresses)
@@ -275,12 +275,11 @@ class TestUdpTransportHardening:
 
     def test_bind_conflict_falls_back_to_ephemeral_port(self):
         async def scenario(runtime, ta, tb):
-            taken = ta._sock.get_extra_info("sockname")[:2]
+            taken = ta.local_address
             tc = UdpTransport(runtime, HostId("c"), peers={})
             await tc.open(taken)  # conflicts with ta's socket
             try:
-                bound = tc._sock.get_extra_info("sockname")[:2]
-                assert bound != taken
+                assert tc.local_address != taken
                 return runtime.metrics.counter("net.h2h.bind_retry").value
             finally:
                 tc.close()

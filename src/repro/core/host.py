@@ -22,6 +22,7 @@ to parent-graph neighbors that appear to lack it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -51,6 +52,26 @@ from .wire import (
 )
 
 OrderFn = Callable[[HostId], int]
+
+
+def _exact_delay(now: float, deadline: float) -> float:
+    """The timer delay ``d`` for which ``now + d == deadline``.
+
+    ``deadline - now`` rounds when ``now < deadline / 2``, and the
+    backends add the delay back to their clock, so a timer armed with
+    the plain difference can fire one ulp after the deadline — a
+    different float, which moves pinned signatures and in-sim latencies.
+    A few ulp nudges restore the sum.  When no delay sums exactly (a
+    rounding tie skips ``deadline``), this returns the one landing just
+    before it: never late, and the chase's next re-arm, from within a
+    factor two of the deadline, is exact.
+    """
+    delay = deadline - now
+    while now + delay < deadline:
+        delay = math.nextafter(delay, math.inf)
+    while now + delay > deadline:
+        delay = math.nextafter(delay, -math.inf)
+    return delay
 
 
 @dataclass
@@ -156,6 +177,10 @@ class BroadcastHost:
         # identically in-sim and on the asyncio backend.
         self._ack_timer: Optional[TimerHandle] = None
         self._parent_timer: Optional[TimerHandle] = None
+        #: parent liveness: when the parent is presumed dead unless it
+        #: speaks again, and when the armed ``_parent_timer`` fires
+        self._parent_deadline = 0.0
+        self._parent_timer_at = 0.0
         self._tasks = self._build_tasks()
 
     # ------------------------------------------------------------------
@@ -495,9 +520,12 @@ class BroadcastHost:
                     target=str(target), policy=ShedPolicy.DROP_NEWEST.value)
                 self.runtime.counter("proto.shed.outbound").inc()
                 return
-        msg = DataMsg(seq=stored.seq, content=stored.content,
-                      created_at=stored.created_at, origin=stored.origin,
-                      gapfill=gapfill, size_bits=self.config.data_size_bits)
+        if stored.gapfill == gapfill and stored.size_bits == self.config.data_size_bits:
+            msg = stored  # payloads are immutable: forward the one we hold
+        else:
+            msg = DataMsg(seq=stored.seq, content=stored.content,
+                          created_at=stored.created_at, origin=stored.origin,
+                          gapfill=gapfill, size_bits=self.config.data_size_bits)
         self.port.send(target, msg)
         self.maps.note_sent(target, seq)
         # Every data send enters the suppression window so periodic gap
@@ -950,10 +978,35 @@ class BroadcastHost:
         return min(max(deadline, cfg.rto_floor_frac * fixed), fixed)
 
     def _arm_parent_timer(self) -> None:
-        if self.parent is not None:
-            self.runtime.cancel_timer(self._parent_timer)
-            self._parent_timer = self.runtime.start_timer(
-                self._parent_timeout_value(), self._on_parent_timeout)
+        """Move the parent's liveness deadline to one timeout from now.
+
+        Runs on every packet from the parent, so it only moves
+        ``_parent_deadline``; one armed timer chases the deadline
+        (:meth:`_on_parent_timer`).  The timer is re-armed here only
+        when the deadline moved *before* its firing time: the timeout
+        shrinks when the cluster view moves the parent into our cluster
+        or the parent's adaptive RTO drops.
+        """
+        if self.parent is None:
+            return
+        now = self.runtime.now()
+        deadline = self._parent_deadline = now + self._parent_timeout_value()
+        if self._parent_timer is None or deadline < self._parent_timer_at:
+            self._start_parent_timer(now)
+
+    def _start_parent_timer(self, now: float) -> None:
+        self.runtime.cancel_timer(self._parent_timer)
+        self._parent_timer_at = self._parent_deadline
+        self._parent_timer = self.runtime.start_timer(
+            _exact_delay(now, self._parent_deadline), self._on_parent_timer)
+
+    def _on_parent_timer(self) -> None:
+        self._parent_timer = None
+        now = self.runtime.now()
+        if now < self._parent_deadline:
+            self._start_parent_timer(now)  # the parent spoke since arming
+        else:
+            self._on_parent_timeout()
 
     def _on_parent_timeout(self) -> None:
         if self.parent is None:

@@ -55,7 +55,7 @@ from typing import Deque, Dict, Optional, Set, Tuple
 from ..net.addressing import HostId
 from ..net.message import Packet, Payload
 from .aio import AsyncioRuntime, AsyncioTimer
-from .interfaces import ReceiveFn, SendTapFn, TapFn
+from .interfaces import CounterLike, ReceiveFn, SendTapFn, TapFn
 
 #: (ip, port) socket address.
 SockAddr = Tuple[str, int]
@@ -109,7 +109,11 @@ class UdpTransport(asyncio.DatagramProtocol):
         self._c_sent = None
         self._c_recv = None
         self._h_delay = None
+        #: per-kind ``net.h2h.{sent,recv}.kind.<kind>`` counter handles
+        self._sent_kind: Dict[str, CounterLike] = {}
+        self._recv_kind: Dict[str, CounterLike] = {}
         #: datagrams that failed to parse (wrong pickle, bad frame shape)
+        #: or named a sender missing from ``peers``
         self.malformed = 0
         #: datagrams that arrived after :meth:`close`
         self.late_drops = 0
@@ -248,7 +252,12 @@ class UdpTransport(asyncio.DatagramProtocol):
         if sent is None:
             sent = self._c_sent = runtime.counter("net.h2h.sent")
         sent.inc()
-        runtime.counter(f"net.h2h.sent.kind.{payload.kind}").inc()
+        kind = payload.kind
+        kind_counter = self._sent_kind.get(kind)
+        if kind_counter is None:
+            kind_counter = self._sent_kind[kind] = runtime.counter(
+                f"net.h2h.sent.kind.{kind}")
+        kind_counter.inc()
         self._transmit(frame, addr, attempt=1)
 
     def _transmit(self, frame: bytes, addr: SockAddr, attempt: int) -> None:
@@ -316,11 +325,17 @@ class UdpTransport(asyncio.DatagramProtocol):
         """Parse a frame into a :class:`Packet` and run the tap chain."""
         try:
             src_name, stamped_at, payload = pickle.loads(data)
-            src = HostId(src_name)
+            known = src_name in self.peers
         except Exception:
+            known = False
+        if not known:
+            # Unparseable, or from a host outside the deployment.  An
+            # unknown name never reaches HostId(): the wire must not
+            # grow the intern table.
             self.malformed += 1
             self.runtime.counter("net.h2h.malformed").inc()
             return
+        src = HostId(src_name)  # a peer's name: the interned id
         packet = Packet(src=src, dst=self.host_id, payload=payload,
                         sent_at=float(stamped_at),
                         stamped_at=float(stamped_at))
@@ -349,7 +364,12 @@ class UdpTransport(asyncio.DatagramProtocol):
             recv = self._c_recv = runtime.counter("net.h2h.recv")
             self._h_delay = runtime.histogram("net.h2h.delay")
         recv.inc()
-        runtime.counter(f"net.h2h.recv.kind.{packet.kind}").inc()
+        kind = packet.kind
+        kind_counter = self._recv_kind.get(kind)
+        if kind_counter is None:
+            kind_counter = self._recv_kind[kind] = runtime.counter(
+                f"net.h2h.recv.kind.{kind}")
+        kind_counter.inc()
         self._h_delay.observe(  # type: ignore[union-attr]
             max(0.0, runtime.now() - packet.sent_at))
         if self._on_receive is not None:

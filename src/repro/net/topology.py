@@ -41,7 +41,7 @@ class Network:
         """Create a server node; names must be unique across the network."""
         if name in self.servers:
             raise ValueError(f"server {name} already exists")
-        if HostId(name) in self._ports:
+        if name in self._ports:  # a HostId equals its name
             raise ValueError(f"name {name} already used by a host")
         server = Server(self.sim, name, self)
         self.servers[name] = server

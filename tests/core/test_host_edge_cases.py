@@ -6,7 +6,13 @@ from repro.core import BroadcastSystem, ProtocolConfig
 from repro.core.attachment import Candidate
 from repro.core.host import _PendingAttach
 from repro.core.seqnoset import SeqnoSet
-from repro.core.wire import AttachAck, AttachRequest, DataMsg, DetachNotice
+from repro.core.wire import (
+    AttachAck,
+    AttachRequest,
+    DataMsg,
+    DetachNotice,
+    checksum_ok,
+)
 from repro.net import HostId, wan_of_lans
 from repro.sim import Simulator
 
@@ -165,6 +171,44 @@ class TestGapfillBatching:
                                   origin=parent.me)
         # 1..3 are in INFO but no longer stored (pruned elsewhere).
         assert parent._fill_gaps_of(target, include_frontier=True) == 1
+
+
+class TestForwardStoredMessage:
+    """``_send_data`` sends the stored payload itself when it is what the
+    send would build (payloads are immutable); otherwise a fresh copy."""
+
+    def capture_sends(self, host):
+        sent = []
+        host.port.send_tap = lambda dst, payload: sent.append(payload) or True
+        return sent
+
+    def test_normal_forward_sends_the_stored_object(self):
+        sim, built, system = build()
+        source = system.source
+        sent = self.capture_sends(source)
+        source.children.update({HostId("h0.1"), HostId("h0.2")})
+        seq = source.broadcast("a")
+        assert len(sent) == 2
+        assert all(payload is source.store[seq] for payload in sent)
+
+    def test_gapfill_flag_or_size_change_builds_a_checksummed_copy(self):
+        sim, built, system = build(config=ProtocolConfig(data_size_bits=4_000))
+        host = system.hosts[HostId("h0.1")]
+        origin = HostId("h0.0")
+        host.store[1] = DataMsg(seq=1, content="a", created_at=0.5,
+                                origin=origin, size_bits=4_000)
+        host.store[2] = DataMsg(seq=2, content="b", created_at=0.5,
+                                origin=origin, size_bits=8_000)
+        sent = self.capture_sends(host)
+        host._send_data(HostId("h0.2"), 1, gapfill=True)
+        host._send_data(HostId("h0.2"), 2, gapfill=False)
+        fill, resized = sent
+        assert fill is not host.store[1] and resized is not host.store[2]
+        assert (fill.seq, fill.content, fill.gapfill, fill.size_bits) == \
+            (1, "a", True, 4_000)
+        assert (resized.seq, resized.gapfill, resized.size_bits) == \
+            (2, False, 4_000)
+        assert checksum_ok(fill) and checksum_ok(resized)
 
 
 class TestSourceEdgeCases:

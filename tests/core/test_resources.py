@@ -14,6 +14,7 @@ from repro.core import (
     ShedPolicy,
     TokenBucket,
 )
+from repro.core.wire import DataMsg
 from repro.net import HostId, wan_of_lans
 from repro.sim import Simulator
 
@@ -160,12 +161,16 @@ class TestFillTableShedding:
             assert total <= 5
 
 
+def stored_data():
+    return DataMsg(seq=1, content="x", created_at=0.0, origin=HostId("h0.0"),
+                   size_bits=4_000)
+
+
 class TestOutboundShedding:
     def test_deep_queue_sheds_data_send(self):
         _, system = build_system(ResourceConfig(outbound_queue_limit=2))
         host = system.hosts[HostId("h1.0")]
-        host.store[1] = type("Stored", (), {
-            "seq": 1, "content": "x", "created_at": 0.0, "origin": None})()
+        host.store[1] = stored_data()
         host.port.queue_length = lambda: 5  # saturated access link
         before = system.sim.metrics.counter("proto.shed.outbound").value
         host._send_data(HostId("h1.1"), 1, gapfill=False)
@@ -178,8 +183,7 @@ class TestOutboundShedding:
         _, system = build_system(ResourceConfig(outbound_queue_limit=5))
         host = system.hosts[HostId("h1.0")]
         assert host.port.queue_length() == 0
-        host.store[1] = type("Stored", (), {
-            "seq": 1, "content": "x", "created_at": 0.0, "origin": None})()
+        host.store[1] = stored_data()
         host._send_data(HostId("h1.1"), 1, gapfill=False)
         assert system.sim.metrics.counter("proto.shed.outbound").value == 0
         assert system.sim.metrics.counter("proto.data.forwarded").value == 1

@@ -113,6 +113,27 @@ class TestUdpTransportUnit:
         assert counted == 1
         assert got == []
 
+    def test_frame_from_unknown_sender_is_malformed(self):
+        from repro.net.addressing import _HOST_IDS
+
+        stranger = "never-a-peer-of-this-deployment"
+
+        async def scenario(runtime, ta, tb):
+            got = []
+            tb.set_receiver(got.append)
+            tb.datagram_received(frame_for(src_name=stranger),
+                                 ("127.0.0.1", 1))
+            tb.datagram_received(frame_for(src_name="a"), ("127.0.0.1", 1))
+            await wait_for(lambda: got)
+            return tb.malformed, [p.src for p in got], \
+                runtime.metrics.counter("net.h2h.malformed").value
+
+        malformed, sources, counted = run(scenario)
+        assert (malformed, counted) == (1, 1)
+        assert sources == [HostId("a")]
+        assert sources[0] is HostId("a")
+        assert stranger not in _HOST_IDS  # the wire grew no HostId
+
     def test_tap_consumes_and_inject_reenters(self):
         async def scenario(runtime, ta, tb):
             got, tapped = [], []

@@ -77,13 +77,34 @@ class SeqnoSet:
         out._floor = self._floor
         return out
 
-    def __getstate__(self) -> Tuple[int, List[int], List[int]]:
-        # Positional state: the UDP backend pickles INFO sets into every
-        # control frame, and slot names would be a third of the bytes.
+    def runs(self) -> Tuple[int, List[int], List[int]]:
+        """``(floor, los, his)``: the stored state, for the frame codec.
+
+        Aliases the live lists — read-only.
+        """
         return self._floor, self._los, self._his
 
-    def __setstate__(self, state: Tuple[int, List[int], List[int]]) -> None:
-        self._floor, self._los, self._his = state
+    @classmethod
+    def from_runs(cls, floor: int, los: List[int],
+                  his: List[int]) -> "SeqnoSet":
+        """The set with pruned prefix ``floor`` and runs ``los[k]..his[k]``.
+
+        Takes ownership of the lists.  This is how a set arrives off the
+        wire, so the class invariant is checked, not assumed: the runs
+        must be sorted, disjoint, non-adjacent and above the floor
+        (``ValueError`` otherwise).  O(r).
+        """
+        if floor < 0 or len(los) != len(his):
+            raise ValueError("malformed run state")
+        limit = floor  # the next run must start above this
+        for lo, hi in zip(los, his):
+            if lo <= limit or hi < lo:
+                raise ValueError("runs are not sorted, disjoint and "
+                                 "above the floor")
+            limit = hi + 1
+        out = cls.__new__(cls)
+        out._floor, out._los, out._his = floor, los, his
+        return out
 
     # ------------------------------------------------------------------
     # Mutation

@@ -123,7 +123,7 @@ class UdpBroadcastSystem(Deployment):
         addresses = {host_id: transport.local_address
                      for host_id, transport in self.transports.items()}
         for transport in self.transports.values():
-            transport.peers.update(addresses)
+            transport.set_peers(addresses)
         self.start()
         return self
 

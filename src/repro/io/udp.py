@@ -1,4 +1,4 @@
-"""Real-socket backend: a :class:`Transport` over asyncio UDP.
+"""Real-socket backend: a :class:`Transport` over a non-blocking UDP socket.
 
 Each host gets one :class:`UdpTransport` bound to its own localhost UDP
 socket; a static ``peers`` map (host id → socket address) plays the role
@@ -8,10 +8,19 @@ topology information — and UDP genuinely loses, reorders, and (rarely)
 duplicates, which is exactly the environment the protocol's checksum /
 dedup / gap-fill machinery exists for.
 
-Framing is a pickled ``(src_name, stamped_at, payload)`` triple.  The
-wire payloads (:mod:`repro.core.wire`) are frozen dataclasses whose
-checksums hash stable numeric tuples, so a checksum computed by the
-sender verifies after unpickling on the receiver.
+Framing is the binary codec of :mod:`repro.core.wire`
+(:func:`~repro.core.wire.encode_frame` /
+:func:`~repro.core.wire.decode_frame`): versioned, length-checked, no
+code loaded from the wire, and every host id an index into the
+deployment's closed :class:`~repro.core.wire.HostTable` (built from
+``peers``), so a name arriving on the wire never reaches ``HostId()``.
+
+The transport owns its socket rather than going through asyncio's
+datagram transport: one ``loop.add_reader`` callback reads the socket
+until it is empty (at most ``recv_batch`` datagrams per wakeup) and
+hands each datagram to the protocol in the same callback — no
+per-datagram queue, no extra loop iteration, no second wakeup.  Sends
+are a direct ``sendto``.
 
 The chaos/adversary surface is identical to the sim port: ``tap`` /
 ``send_tap`` attributes with ``inject`` / ``send_raw`` as the
@@ -23,6 +32,9 @@ Real-world hardening the sim never needs (every failure mode below is
 converted into *datagram loss*, which the protocol already tolerates,
 plus a counter so the harness can see it happening):
 
+* **Malformed frames** — truncated, oversized, another wire version or
+  host table, an unknown tag or host index — are dropped and counted
+  (``net.h2h.malformed``), never raised into the loop.
 * **Transient send errors** (``ENOBUFS``/``EAGAIN``-style ``OSError``
   out of ``sendto``) are retried with exponential wall-clock backoff
   (``net.h2h.send_retry``); a send that exhausts its attempts is
@@ -31,13 +43,13 @@ plus a counter so the harness can see it happening):
 * **Bind conflicts** at ``open()`` retry and fall back to an ephemeral
   port (``net.h2h.bind_retry``) so parallel harnesses never abort on a
   racing port claim.
-* **Receive overload**: inbound datagrams queue in a bounded buffer
-  drained on the next loop iteration; overflow is shed oldest-first
-  (``net.h2h.recv_shed``) instead of letting an inbound burst starve
-  every other host sharing the loop.
-* **Late datagrams**: ``close()`` is idempotent, and frames still in
-  flight when it lands are counted and dropped
-  (``net.h2h.late_dropped``) rather than raised into the event loop.
+* **Receive overload**: a wakeup handles at most ``recv_batch``
+  datagrams, so an inbound burst cannot starve every other host sharing
+  the loop; the rest wait in the kernel's socket buffer for the next
+  wakeup, and what overflows that buffer is ordinary UDP loss.
+* **Late datagrams**: ``close()`` is idempotent, and frames handed in
+  after it lands are counted and dropped (``net.h2h.late_dropped``)
+  rather than raised into the event loop.
 
 Cost bits do not exist on real networks (no programmable servers to set
 them), so UDP deployments run the protocol in
@@ -48,10 +60,11 @@ map — the paper's "manual configuration" deployment option.
 from __future__ import annotations
 
 import asyncio
-import pickle
-from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+import socket
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Set, Tuple
 
+from ..core.wire import FrameError, HostTable, decode_frame, encode_frame
 from ..net.addressing import HostId
 from ..net.message import Packet, Payload
 from .aio import AsyncioRuntime, AsyncioTimer
@@ -60,75 +73,95 @@ from .interfaces import CounterLike, ReceiveFn, SendTapFn, TapFn
 #: (ip, port) socket address.
 SockAddr = Tuple[str, int]
 
+#: receive buffer size: the largest UDP payload fits
+_MAX_DATAGRAM = 65536
 
-class UdpTransport(asyncio.DatagramProtocol):
+
+class UdpTransport:
     """One host's attachment point: one UDP socket, a static peer map.
 
     Args:
         runtime: the shared wall-clock runtime (clock, timers, metrics).
         host_id: this host's name.
         peers: host id → socket address map (usually filled in after
-            every deployment socket has bound, see
-            :meth:`~repro.io.node.UdpBroadcastSystem.open`).
+            every deployment socket has bound, see :meth:`set_peers`).
         max_send_attempts: total ``sendto`` tries per frame before the
             frame is dropped and counted.
         send_backoff: wall-clock seconds before the first retry;
             doubles per subsequent attempt.
-        recv_queue_limit: bounded inbound buffer depth; overflow sheds
-            the oldest queued datagram.
     """
+
+    #: most datagrams handled per socket wakeup before the loop gets a
+    #: turn, so one busy socket cannot starve the hosts sharing the loop
+    recv_batch = 64
 
     def __init__(
         self,
         runtime: AsyncioRuntime,
         host_id: HostId,
-        peers: Dict[HostId, SockAddr],
+        peers: Mapping[HostId, SockAddr],
         *,
         max_send_attempts: int = 3,
         send_backoff: float = 0.002,
-        recv_queue_limit: int = 1024,
     ) -> None:
         if max_send_attempts < 1:
             raise ValueError("max_send_attempts must be at least 1")
-        if send_backoff < 0 or recv_queue_limit < 1:
-            raise ValueError("send_backoff must be >= 0 and "
-                             "recv_queue_limit >= 1")
+        if send_backoff < 0:
+            raise ValueError("send_backoff must be >= 0")
         self.runtime = runtime
         self.host_id = host_id
-        self.peers = dict(peers)
         self._name = str(host_id)
+        self.set_peers(peers)
         self._on_receive: Optional[ReceiveFn] = None
         #: optional inbound tap (chaos injection hook)
         self.tap: Optional[TapFn] = None
         #: optional outbound tap (adversary persona hook)
         self.send_tap: Optional[SendTapFn] = None
-        self._sock: Optional[asyncio.DatagramTransport] = None
+        self._sock: Optional[socket.socket] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._fd = -1
+        #: datagrams are read into this and copied out before handling
+        self._buffer = bytearray(_MAX_DATAGRAM)
         #: the (host, port) actually bound by :meth:`open`; None before
         self.local_address: Optional[SockAddr] = None
         self._closed = False
-        self._c_sent = None
-        self._c_recv = None
-        self._h_delay = None
+        self._c_sent = runtime.counter("net.h2h.sent")
+        self._c_recv = runtime.counter("net.h2h.recv")
+        self._c_sent_bytes = runtime.counter("net.h2h.sent.bytes")
+        self._c_recv_bytes = runtime.counter("net.h2h.recv.bytes")
+        self._h_delay = runtime.histogram("net.h2h.delay")
         #: per-kind ``net.h2h.{sent,recv}.kind.<kind>`` counter handles
         self._sent_kind: Dict[str, CounterLike] = {}
         self._recv_kind: Dict[str, CounterLike] = {}
-        #: datagrams that failed to parse (wrong pickle, bad frame shape)
-        #: or named a sender missing from ``peers``
+        #: datagrams that were not a well-formed frame for this deployment
         self.malformed = 0
-        #: datagrams that arrived after :meth:`close`
+        #: datagrams handed in after :meth:`close`
         self.late_drops = 0
         #: frames dropped after exhausting every send attempt
         self.send_drops = 0
-        #: socket-level errors reported by the loop (ICMP unreachable...)
+        #: socket-level errors on receive (ICMP unreachable...)
         self.socket_errors = 0
         self.max_send_attempts = max_send_attempts
         self.send_backoff = send_backoff
         #: in-flight retry timers, cancelled on close
         self._retry_timers: Set[AsyncioTimer] = set()
-        #: bounded inbound buffer, drained via ``call_soon``
-        self._recv_queue: Deque[Tuple[bytes, SockAddr]] = deque()
-        self._recv_queue_limit = recv_queue_limit
-        self._drain_scheduled = False
+
+    # -- peers ------------------------------------------------------------
+
+    @property
+    def peers(self) -> Mapping[HostId, SockAddr]:
+        """Read-only view of the peer map; change it with :meth:`set_peers`."""
+        return MappingProxyType(self._peers)
+
+    def set_peers(self, peers: Mapping[HostId, SockAddr]) -> None:
+        """Replace the peer map and rebuild the frame host table.
+
+        The table holds this host and every peer; both ends of a link
+        must hold the same hosts, or each drops the other's frames as
+        malformed.
+        """
+        self._peers: Dict[HostId, SockAddr] = dict(peers)
+        self._table = HostTable((self.host_id, *self._peers))
 
     # -- socket lifecycle ----------------------------------------------
 
@@ -143,13 +176,16 @@ class UdpTransport(asyncio.DatagramProtocol):
         ``net.h2h.bind_retry``.
         """
         loop = asyncio.get_running_loop()
+        family = socket.AF_INET6 if ":" in local_addr[0] else socket.AF_INET
         addr = local_addr
         last_error: Optional[OSError] = None
         for _attempt in range(max(1, bind_attempts)):
+            sock = socket.socket(family, socket.SOCK_DGRAM)
             try:
-                sock, _ = await loop.create_datagram_endpoint(
-                    lambda: self, local_addr=addr)
+                sock.setblocking(False)
+                sock.bind(addr)
             except OSError as exc:
+                sock.close()
                 last_error = exc
                 self.runtime.counter("net.h2h.bind_retry").inc()
                 self.runtime.trace("net.bind_retry", self._name,
@@ -157,9 +193,10 @@ class UdpTransport(asyncio.DatagramProtocol):
                                    error=str(exc))
                 addr = (local_addr[0], 0)  # let the OS pick instead
                 continue
-            self._sock = sock  # type: ignore[assignment]
-            self.local_address = sock.get_extra_info("sockname")[:2]
+            self._sock, self._loop, self._fd = sock, loop, sock.fileno()
+            self.local_address = sock.getsockname()[:2]
             self._closed = False
+            loop.add_reader(self._fd, self._on_readable)
             return self
         assert last_error is not None
         raise last_error
@@ -167,9 +204,8 @@ class UdpTransport(asyncio.DatagramProtocol):
     def close(self) -> None:
         """Close the socket; idempotent.
 
-        Pending inbound datagrams — queued locally or still crossing
-        the loop — are dropped and counted, never raised: a datagram
-        racing a close is ordinary in-flight traffic, not an error.
+        Datagrams still in the socket buffer go with it: a datagram
+        racing a close is ordinary in-flight loss, not an error.
         """
         if self._closed:
             return
@@ -177,29 +213,12 @@ class UdpTransport(asyncio.DatagramProtocol):
         for timer in self._retry_timers:
             timer.cancel()
         self._retry_timers.clear()
-        if self._recv_queue:
-            self.late_drops += len(self._recv_queue)
-            self.runtime.counter("net.h2h.late_dropped").inc(
-                len(self._recv_queue))
-            self._recv_queue.clear()
         if self._sock is not None:
+            loop = self._loop
+            if loop is not None and not loop.is_closed():
+                loop.remove_reader(self._fd)
             self._sock.close()
             self._sock = None
-
-    def connection_made(self, transport) -> None:  # pragma: no cover - asyncio
-        self._sock = transport
-
-    def connection_lost(self, exc) -> None:  # pragma: no cover - asyncio
-        self._sock = None
-
-    def error_received(self, exc: Exception) -> None:
-        """Socket-level error from the loop (e.g. ICMP port unreachable).
-
-        Counted and swallowed: to a fire-and-forget sender this is just
-        evidence a datagram died, which UDP never promised otherwise.
-        """
-        self.socket_errors += 1
-        self.runtime.counter("net.h2h.socket_error").inc()
 
     # -- Transport contract --------------------------------------------
 
@@ -212,13 +231,12 @@ class UdpTransport(asyncio.DatagramProtocol):
         return self.runtime.now()
 
     def queue_length(self) -> int:
-        """Locally queued inbound datagrams awaiting drain.
+        """Always 0: no datagram waits in this process.
 
-        The kernel send buffer is not observable; the receive side's
-        bounded buffer is, and it is the congestion signal overload
-        tooling cares about.
+        Datagrams are handled in the wakeup that reads them; the kernel
+        socket buffers, the only queues left, are not observable.
         """
-        return len(self._recv_queue)
+        return 0
 
     def send(self, dst: HostId, payload: Payload) -> None:
         """Fire-and-forget unicast (runs the send tap first)."""
@@ -236,23 +254,20 @@ class UdpTransport(asyncio.DatagramProtocol):
         silently — indistinguishable from datagram loss, which the
         protocol tolerates by design.
         """
-        if self._sock is None:
+        sock = self._sock
+        if sock is None:
             return
-        addr = self.peers.get(dst)
+        addr = self._peers.get(dst)
         if addr is None:
             raise KeyError(f"host {self.host_id} has no address for {dst}")
-        now = self.runtime.now()
-        frame = pickle.dumps((self._name, now, payload),
-                             protocol=pickle.HIGHEST_PROTOCOL)
         runtime = self.runtime
+        frame = encode_frame(self._table, self.host_id, runtime.now(), payload)
+        kind = payload.kind
         if runtime.trace_sink.active:
             runtime.trace("net.host_send", self._name, dst=str(dst),
-                          payload_kind=payload.kind, bytes=len(frame))
-        sent = self._c_sent
-        if sent is None:
-            sent = self._c_sent = runtime.counter("net.h2h.sent")
-        sent.inc()
-        kind = payload.kind
+                          payload_kind=kind, bytes=len(frame))
+        self._c_sent.inc()
+        self._c_sent_bytes.inc(len(frame))
         kind_counter = self._sent_kind.get(kind)
         if kind_counter is None:
             kind_counter = self._sent_kind[kind] = runtime.counter(
@@ -263,10 +278,9 @@ class UdpTransport(asyncio.DatagramProtocol):
     def _transmit(self, frame: bytes, addr: SockAddr, attempt: int) -> None:
         """One ``sendto`` try; transient ``OSError`` arms a backoff retry.
 
-        asyncio's datagram transport normally buffers, but a saturated
-        kernel buffer surfaces ``ENOBUFS``/``EAGAIN`` on some platforms;
-        the retry ladder converts a transient stall into a short delay
-        and a persistent one into counted datagram loss.
+        A full kernel send buffer surfaces as ``EAGAIN``/``ENOBUFS``;
+        the retry ladder turns a transient stall into a short delay and
+        a persistent one into counted datagram loss.
         """
         sock = self._sock
         if sock is None:
@@ -282,63 +296,64 @@ class UdpTransport(asyncio.DatagramProtocol):
                 return
             self.runtime.counter("net.h2h.send_retry").inc()
             backoff_wall = self.send_backoff * (2 ** (attempt - 1))
-            time_scale = getattr(self.runtime, "time_scale", 1.0)
 
             def retry() -> None:
                 self._retry_timers.discard(timer)
                 self._transmit(frame, addr, attempt + 1)
 
-            timer = self.runtime.start_timer(backoff_wall / time_scale,
-                                             retry)
+            timer = self.runtime.start_timer(
+                backoff_wall / self.runtime.time_scale, retry)
             self._retry_timers.add(timer)
 
     # -- receiving ------------------------------------------------------
 
-    def datagram_received(self, data: bytes, addr: SockAddr) -> None:
-        """Queue one raw frame; drained on the next loop iteration.
+    def _on_readable(self) -> None:
+        """Read and handle up to ``recv_batch`` datagrams, then yield."""
+        buffer = self._buffer
+        for _ in range(self.recv_batch):
+            sock = self._sock
+            if sock is None:
+                return  # a handler closed this transport
+            try:
+                size = sock.recv_into(buffer)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError as exc:
+                self.error_received(exc)
+                return
+            self.receive_frame(buffer[:size])
 
-        The bounded queue decouples kernel-speed arrival from
-        Python-speed protocol processing: a burst beyond the limit
-        sheds the *oldest* queued frame (the protocol recovers lost
-        data either way; fresher frames carry fresher state).
+    def error_received(self, exc: Exception) -> None:
+        """Socket-level error on receive (e.g. ICMP port unreachable).
+
+        Counted and swallowed: to a fire-and-forget sender this is just
+        evidence a datagram died, which UDP never promised otherwise.
+        """
+        self.socket_errors += 1
+        self.runtime.counter("net.h2h.socket_error").inc()
+
+    def receive_frame(self, frame: bytes) -> None:
+        """Handle one datagram: decode it and run the tap chain.
+
+        This is what the socket reader calls for every datagram it
+        reads; a test or injector may call it with any bytes.  A frame
+        that does not decode against this deployment's host table —
+        garbage, truncated, from a host outside the table — is counted
+        in ``net.h2h.malformed`` and dropped.
         """
         if self._closed:
             self.late_drops += 1
             self.runtime.counter("net.h2h.late_dropped").inc()
             return
-        if len(self._recv_queue) >= self._recv_queue_limit:
-            self._recv_queue.popleft()
-            self.runtime.counter("net.h2h.recv_shed").inc()
-        self._recv_queue.append((data, addr))
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            self.runtime.call_soon(self._drain_recv)
-
-    def _drain_recv(self) -> None:
-        """Process every queued frame (one scheduled drain at a time)."""
-        self._drain_scheduled = False
-        while self._recv_queue:
-            data, _addr = self._recv_queue.popleft()
-            self._process_datagram(data)
-
-    def _process_datagram(self, data: bytes) -> None:
-        """Parse a frame into a :class:`Packet` and run the tap chain."""
         try:
-            src_name, stamped_at, payload = pickle.loads(data)
-            known = src_name in self.peers
-        except Exception:
-            known = False
-        if not known:
-            # Unparseable, or from a host outside the deployment.  An
-            # unknown name never reaches HostId(): the wire must not
-            # grow the intern table.
+            src, stamped_at, payload = decode_frame(self._table, frame)
+        except FrameError:
             self.malformed += 1
             self.runtime.counter("net.h2h.malformed").inc()
             return
-        src = HostId(src_name)  # a peer's name: the interned id
+        self._c_recv_bytes.inc(len(frame))
         packet = Packet(src=src, dst=self.host_id, payload=payload,
-                        sent_at=float(stamped_at),
-                        stamped_at=float(stamped_at))
+                        sent_at=stamped_at, stamped_at=stamped_at)
         tap = self.tap
         if tap is not None and tap(packet):
             return
@@ -359,18 +374,13 @@ class UdpTransport(asyncio.DatagramProtocol):
             runtime.trace("net.host_recv", self._name, src=str(packet.src),
                           payload_kind=packet.kind, cost_bit=packet.cost_bit,
                           packet=packet.packet_id)
-        recv = self._c_recv
-        if recv is None:
-            recv = self._c_recv = runtime.counter("net.h2h.recv")
-            self._h_delay = runtime.histogram("net.h2h.delay")
-        recv.inc()
+        self._c_recv.inc()
         kind = packet.kind
         kind_counter = self._recv_kind.get(kind)
         if kind_counter is None:
             kind_counter = self._recv_kind[kind] = runtime.counter(
                 f"net.h2h.recv.kind.{kind}")
         kind_counter.inc()
-        self._h_delay.observe(  # type: ignore[union-attr]
-            max(0.0, runtime.now() - packet.sent_at))
+        self._h_delay.observe(max(0.0, runtime.now() - packet.sent_at))
         if self._on_receive is not None:
             self._on_receive(packet)

@@ -289,3 +289,37 @@ def test_operations_do_not_walk_members():
         twin.truncate_above(huge - 2)
         assert twin.max_seqno == huge - 2 and mine.difference(twin) == [huge - 1, huge]
         assert mine.gaps() == [] and mine.contiguous_prefix() == huge
+
+
+# ----------------------------------------------------------------------
+# Run state: what the frame codec ships and rebuilds
+# ----------------------------------------------------------------------
+
+
+@given(seqno_lists, st.integers(min_value=0, max_value=60))
+def test_from_runs_rebuilds_the_set_exactly(items, prune):
+    s = SeqnoSet(items)
+    s.prune_through(min(prune, s.contiguous_prefix()))
+    floor, los, his = s.runs()
+    twin = SeqnoSet.from_runs(floor, list(los), list(his))
+    assert twin == s and twin.runs() == s.runs()
+
+
+@pytest.mark.parametrize("floor, los, his", [
+    (-1, [], []),             # negative floor
+    (0, [1], []),             # unpaired run
+    (0, [0], [2]),            # non-positive member
+    (5, [5], [7]),            # run overlaps the floor
+    (0, [3], [2]),            # empty run
+    (0, [1, 3], [2, 4]),      # adjacent runs
+    (0, [4, 1], [5, 2]),      # unsorted runs
+    (0, [1, 2], [5, 7]),      # overlapping runs
+])
+def test_from_runs_rejects_state_that_breaks_the_invariant(floor, los, his):
+    with pytest.raises(ValueError):
+        SeqnoSet.from_runs(floor, los, his)
+
+
+def test_from_runs_accepts_a_first_run_adjacent_to_the_floor():
+    s = SeqnoSet.from_runs(5, [6], [9])
+    assert s.contiguous_prefix() == 9 and s == SeqnoSet.range(1, 9)

@@ -5,9 +5,10 @@ import time
 
 import pytest
 
+from repro.core.wire import HostTable, encode_frame
 from repro.io import AsyncioRuntime, UdpTransport
 from repro.io.crosscheck import CrosscheckScenario, crosscheck
-from repro.net import HostId, RawPayload
+from repro.net import HostId, Packet, RawPayload
 
 
 async def open_pair(runtime):
@@ -21,8 +22,8 @@ async def open_pair(runtime):
         a: ta.local_address,
         b: tb.local_address,
     }
-    ta.peers.update(addresses)
-    tb.peers.update(addresses)
+    ta.set_peers(addresses)
+    tb.set_peers(addresses)
     return ta, tb
 
 
@@ -102,9 +103,7 @@ class TestUdpTransportUnit:
         async def scenario(runtime, ta, tb):
             got = []
             tb.set_receiver(got.append)
-            tb.datagram_received(b"not a frame", ("127.0.0.1", 1))
-            # Frames queue and drain on the next loop iteration.
-            await wait_for(lambda: tb.malformed == 1)
+            tb.receive_frame(b"not a frame")
             return tb.malformed, got, \
                 runtime.metrics.counter("net.h2h.malformed").value
 
@@ -116,23 +115,55 @@ class TestUdpTransportUnit:
     def test_frame_from_unknown_sender_is_malformed(self):
         from repro.net.addressing import _HOST_IDS
 
-        stranger = "never-a-peer-of-this-deployment"
-
         async def scenario(runtime, ta, tb):
             got = []
             tb.set_receiver(got.append)
-            tb.datagram_received(frame_for(src_name=stranger),
-                                 ("127.0.0.1", 1))
-            tb.datagram_received(frame_for(src_name="a"), ("127.0.0.1", 1))
-            await wait_for(lambda: got)
+            known = len(_HOST_IDS)
+            tb.receive_frame(frame_for(src_index=7))  # past the table
+            tb.receive_frame(frame_for())
             return tb.malformed, [p.src for p in got], \
-                runtime.metrics.counter("net.h2h.malformed").value
+                runtime.metrics.counter("net.h2h.malformed").value, \
+                len(_HOST_IDS) - known
 
-        malformed, sources, counted = run(scenario)
+        malformed, sources, counted, new_ids = run(scenario)
         assert (malformed, counted) == (1, 1)
         assert sources == [HostId("a")]
         assert sources[0] is HostId("a")
-        assert stranger not in _HOST_IDS  # the wire grew no HostId
+        assert new_ids == 0  # the wire grew no HostId
+
+    def test_frame_built_against_another_host_table_is_malformed(self):
+        async def scenario(runtime, ta, tb):
+            got = []
+            tb.set_receiver(got.append)
+            # c joins a's table but not b's: same indices, other table.
+            ta.set_peers({**ta.peers, HostId("c"): ("127.0.0.1", 9)})
+            ta.send(HostId("b"), RawPayload())
+            assert await wait_for(lambda: tb.malformed == 1)
+            return got
+
+        assert run(scenario) == []
+
+    def test_byte_counters_count_whole_frames(self):
+        async def scenario(runtime, ta, tb):
+            tb.set_receiver(lambda packet: None)
+            ta.send(HostId("b"), RawPayload(content="ping"))
+            assert await wait_for(
+                lambda: runtime.metrics.counter("net.h2h.recv").value == 1)
+            return (runtime.metrics.counter("net.h2h.sent.bytes").value,
+                    runtime.metrics.counter("net.h2h.recv.bytes").value,
+                    runtime.trace_sink.records(kind="net.host_send")[0][
+                        "bytes"])
+
+        sent, received, traced = run(scenario)
+        assert sent == received == traced < 64
+
+    def test_peers_change_only_through_set_peers(self):
+        async def scenario(runtime, ta, tb):
+            with pytest.raises(TypeError):
+                ta.peers[HostId("c")] = ("127.0.0.1", 9)  # type: ignore
+            return HostId("c") in ta.peers
+
+        assert run(scenario) is False
 
     def test_tap_consumes_and_inject_reenters(self):
         async def scenario(runtime, ta, tb):
@@ -161,12 +192,14 @@ class TestUdpTransportUnit:
         assert run(scenario) == (1, 1)
 
 
-def frame_for(dst_name="b", src_name="a"):
-    """A well-formed wire frame, as ``send_raw`` would emit it."""
-    import pickle
-
-    return pickle.dumps((src_name, 0.0, RawPayload()),
-                        protocol=pickle.HIGHEST_PROTOCOL)
+def frame_for(src_index=None):
+    """A well-formed frame from ``a``, as its ``send_raw`` would emit it;
+    ``src_index`` overwrites the sender's host-table index."""
+    table = HostTable([HostId("a"), HostId("b")])
+    frame = encode_frame(table, HostId("a"), 0.0, RawPayload())
+    if src_index is None:
+        return frame
+    return frame[:6] + src_index.to_bytes(2, "big") + frame[8:]
 
 
 class TestUdpTransportHardening:
@@ -185,32 +218,11 @@ class TestUdpTransportHardening:
             tb.set_receiver(got.append)
             tb.close()
             # A datagram still crossing the loop when close() landed.
-            tb.datagram_received(frame_for(), ("127.0.0.1", 1))
+            tb.receive_frame(frame_for())
             # A chaos-delayed injection outliving the deployment.
-            import pickle
-
-            src, _at, payload = pickle.loads(frame_for())
-            from repro.net import Packet
-
-            tb.inject(Packet(src=HostId(src), dst=tb.host_id,
-                             payload=payload, sent_at=0.0, stamped_at=0.0))
-            return (tb.late_drops, got,
-                    runtime.metrics.counter("net.h2h.late_dropped").value)
-
-        late, got, counted = run(scenario)
-        assert late == 2
-        assert counted == 2
-        assert got == []
-
-    def test_queued_datagrams_are_dropped_and_counted_on_close(self):
-        async def scenario(runtime, ta, tb):
-            got = []
-            tb.set_receiver(got.append)
-            # Queue frames without yielding, then close before the drain.
-            tb.datagram_received(frame_for(), ("127.0.0.1", 1))
-            tb.datagram_received(frame_for(), ("127.0.0.1", 1))
-            tb.close()
-            await asyncio.sleep(0.05)  # the drain would have run by now
+            tb.inject(Packet(src=HostId("a"), dst=tb.host_id,
+                             payload=RawPayload(), sent_at=0.0,
+                             stamped_at=0.0))
             return (tb.late_drops, got,
                     runtime.metrics.counter("net.h2h.late_dropped").value)
 
@@ -266,7 +278,7 @@ class TestUdpTransportHardening:
             ta._sock = DeadSock(ta._sock)
             ta.send(HostId("b"), RawPayload())
             assert await wait_for(lambda: ta.send_drops == 1)
-            await asyncio.sleep(0.02)
+            assert not ta._retry_timers  # the ladder is exhausted
             return (got,
                     runtime.metrics.counter("net.h2h.send_dropped").value,
                     runtime.metrics.counter("net.h2h.send_retry").value)
@@ -276,23 +288,27 @@ class TestUdpTransportHardening:
         assert dropped == 1
         assert retries == 2  # attempts 2 and 3 were retries
 
-    def test_receive_queue_overflow_sheds_oldest(self):
+    def test_a_wakeup_handles_at_most_recv_batch_datagrams(self):
         async def scenario(runtime, ta, tb):
             got = []
             tb.set_receiver(got.append)
-            tb._recv_queue_limit = 4
-            # Ten bursts before the loop can drain: six must be shed.
+            tb.recv_batch = 4
+            # Drive the reader by hand to see each wakeup's batch.
+            asyncio.get_running_loop().remove_reader(tb._fd)
             for _ in range(10):
-                tb.datagram_received(frame_for(), ("127.0.0.1", 1))
-            depth = tb.queue_length()
-            await wait_for(lambda: len(got) == 4)
-            return (depth, len(got),
-                    runtime.metrics.counter("net.h2h.recv_shed").value)
+                ta.send(HostId("b"), RawPayload())
+            batches = []
+            deadline = time.monotonic() + 5.0
+            while len(got) < 10 and time.monotonic() < deadline:
+                before = len(got)
+                tb._on_readable()
+                batches.append(len(got) - before)
+                await asyncio.sleep(0)
+            return batches, len(got)
 
-        depth, delivered, shed = run(scenario)
-        assert depth == 4
-        assert delivered == 4
-        assert shed == 6
+        batches, delivered = run(scenario)
+        assert delivered == 10  # the rest waited in the socket buffer
+        assert max(batches) == 4
 
     def test_bind_conflict_falls_back_to_ephemeral_port(self):
         async def scenario(runtime, ta, tb):

@@ -81,11 +81,8 @@ def congestion_report(sim: Simulator, network: Network,
     source_tx = access_loads.get(source, 0.0)
     others = [v for h, v in access_loads.items() if h != source]
     source_link = network.access_link(source)
-    peak = 0.0
-    for direction in (source_link.link_id.a, source_link.link_id.b):
-        series = sim.metrics.series(f"linkq.{source_link.link_id}.{direction}")
-        if series.points:
-            peak = max(peak, series.max())
+    peak = max(0.0, *(source_link.queue_peak(node)
+                      for node in (source_link.link_id.a, source_link.link_id.b)))
     return CongestionReport(
         source_access_tx=source_tx,
         max_other_access_tx=max(others) if others else 0.0,

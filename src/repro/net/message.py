@@ -15,7 +15,7 @@ the bit to maintain their ``CLUSTER`` sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Protocol, runtime_checkable
 
 from .addressing import HostId, LinkId
@@ -57,7 +57,6 @@ class RawPayload:
 _packet_ids = itertools.count(1)
 
 
-@dataclass
 class Packet:
     """One individually addressed message in flight.
 
@@ -73,19 +72,40 @@ class Packet:
         stamped_at: the send timestamp as written by the *sender's local
             clock* (what the paper's transit-time mechanism reads); equals
             sent_at unless a clock model skews the sender.
+        ttl: hops left before a server discards the packet.
         packet_id: unique per original send; duplicates share the id of
             the original (useful to detect spontaneous duplication).
+
+    A plain ``__slots__`` class compared and hashed by identity: a link
+    keys its in-flight packets by the object.  ``kind`` and
+    ``size_bits`` are read through to the payload on every access,
+    because chaos taps replace ``payload`` in place.
     """
 
-    src: HostId
-    dst: HostId
-    payload: Payload
-    cost_bit: bool = False
-    hops: List[LinkId] = field(default_factory=list)
-    sent_at: float = 0.0
-    stamped_at: float = 0.0
-    ttl: int = DEFAULT_TTL
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    __slots__ = ("src", "dst", "payload", "cost_bit", "hops", "sent_at",
+                 "stamped_at", "ttl", "packet_id")
+
+    def __init__(
+        self,
+        src: HostId,
+        dst: HostId,
+        payload: Payload,
+        cost_bit: bool = False,
+        hops: Optional[List[LinkId]] = None,
+        sent_at: float = 0.0,
+        stamped_at: float = 0.0,
+        ttl: int = DEFAULT_TTL,
+        packet_id: Optional[int] = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.cost_bit = cost_bit
+        self.hops = [] if hops is None else hops
+        self.sent_at = sent_at
+        self.stamped_at = stamped_at
+        self.ttl = ttl
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
 
     @property
     def size_bits(self) -> int:
@@ -99,14 +119,9 @@ class Packet:
 
     def fork(self) -> "Packet":
         """Copy for duplication/fan-out; shares packet_id and payload."""
-        return replace(self, hops=list(self.hops))
-
-    def record_hop(self, link_id: LinkId, expensive: bool) -> None:
-        """Account for traversing ``link_id``; sets the cost bit if expensive."""
-        self.hops.append(link_id)
-        self.ttl -= 1
-        if expensive:
-            self.cost_bit = True
+        return Packet(self.src, self.dst, self.payload, self.cost_bit,
+                      list(self.hops), self.sent_at, self.stamped_at, self.ttl,
+                      self.packet_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = "$" if self.cost_bit else ""

@@ -15,13 +15,11 @@ an expensive link; the paper explicitly proposes this mechanism.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
-
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from ..sim import Simulator
 from .addressing import HostId
-from .link import Link
+from .link import DeliverFn, Link
 from .message import Packet
 from .routing import RoutingEngine
 
@@ -30,6 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: cache-miss sentinel (``None`` is a valid memoized answer: "no route")
 _MISS = object()
+
+#: a memoized forward step: (the next link's ``transmit``, the far end's
+#: receive function, whether the link is a trunk)
+_Step = Tuple[Callable[[Packet, str, DeliverFn], None], DeliverFn, bool]
 
 
 class Server:
@@ -49,9 +51,11 @@ class Server:
         self.attached: Dict[HostId, Link] = {}
         #: links to neighboring servers, keyed by neighbor name
         self.trunks: Dict[str, Link] = {}
-        # Memoized next-hop answers, invalidated whenever the routing
-        # engine's generation stamp moves (or the engine is swapped).
+        # Memoized next-hop answers and forward steps, both dropped
+        # whenever the routing engine's generation stamp moves (or the
+        # engine is swapped).
         self._route_cache: Dict[str, object] = {}
+        self._forward: Dict[HostId, _Step] = {}
         self._route_engine: Optional[RoutingEngine] = None
         self._route_gen = -1
 
@@ -74,9 +78,10 @@ class Server:
     def receive(self, packet: Packet) -> None:
         """Handle a packet arriving at this server (from a host or a trunk).
 
-        Forwarding pays a small processing delay (the IMP's per-packet
-        work) and decrements the packet's hop limit — packets caught in
-        a transient routing loop (stale tables during convergence) are
+        Forwarding over a trunk pays a small processing delay (the IMP's
+        per-packet work); delivery to a local host does not.  Each hop
+        decrements the packet's hop limit — packets caught in a
+        transient routing loop (stale tables during convergence) are
         discarded instead of circulating forever.
         """
         if not self.up:
@@ -85,48 +90,69 @@ class Server:
         if packet.ttl <= 0:
             self._drop(packet, "ttl_expired")
             return
-        dst_server = self.network.server_of(packet.dst)
+        routing = self.network.routing
+        if routing is self._route_engine and routing.generation == self._route_gen:
+            step = self._forward.get(packet.dst)
+        else:
+            step = None
+        if step is None:
+            step = self._forward_step(packet)
+            if step is None:
+                return
+        transmit, deliver, trunk = step
+        if trunk and self.PROCESSING_DELAY > 0:
+            self.sim.schedule(self.PROCESSING_DELAY, transmit, packet, self.name, deliver)
+        else:
+            transmit(packet, self.name, deliver)
+
+    def _forward_step(self, packet: Packet) -> Optional[_Step]:
+        """Work out (and memoize) how to forward toward ``packet.dst``.
+
+        Drops the packet and returns None when there is no way.
+        """
+        self._sync_routing()
+        dst = packet.dst
+        dst_server = self.network.server_of(dst)
         if dst_server is None:
             self._drop(packet, "unknown_host")
-            return
+            return None
         if dst_server == self.name:
-            self._deliver_locally(packet)
-            return
-        next_hop = self._next_hop(dst_server)
-        if next_hop is None:
-            self._drop(packet, "no_route")
-            return
-        trunk = self.trunks.get(next_hop)
-        if trunk is None:
-            self._drop(packet, "no_trunk")
-            return
-        neighbor_server = self.network.servers[next_hop]
-        if self.PROCESSING_DELAY > 0:
-            self.sim.schedule(self.PROCESSING_DELAY, trunk.transmit, packet,
-                              self.name, neighbor_server.receive)
+            access = self.attached.get(dst)
+            if access is None:
+                self._drop(packet, "host_not_here")
+                return None
+            port = self.network.host_port(dst)
+            step: _Step = (access.transmit, port.deliver_from_network, False)
         else:
-            trunk.transmit(packet, self.name, neighbor_server.receive)
+            next_hop = self._next_hop(dst_server)
+            if next_hop is None:
+                self._drop(packet, "no_route")
+                return None
+            trunk = self.trunks.get(next_hop)
+            if trunk is None:
+                self._drop(packet, "no_trunk")
+                return None
+            step = (trunk.transmit, self.network.servers[next_hop].receive, True)
+        self._forward[dst] = step
+        return step
 
-    def _next_hop(self, dst_server: str) -> Optional[str]:
-        """Memoized ``routing.next_hop`` lookup (generation-stamped)."""
+    def _sync_routing(self) -> None:
+        """Drop the memos if the routing tables changed since they were made."""
         routing = self.network.routing
         if routing is not self._route_engine or routing.generation != self._route_gen:
             self._route_cache.clear()
+            self._forward.clear()
             self._route_engine = routing
             self._route_gen = routing.generation
+
+    def _next_hop(self, dst_server: str) -> Optional[str]:
+        """Memoized ``routing.next_hop`` lookup (generation-stamped)."""
+        self._sync_routing()
         hop = self._route_cache.get(dst_server, _MISS)
         if hop is _MISS:
-            hop = routing.next_hop(self.name, dst_server)
+            hop = self.network.routing.next_hop(self.name, dst_server)
             self._route_cache[dst_server] = hop
         return hop  # type: ignore[return-value]
-
-    def _deliver_locally(self, packet: Packet) -> None:
-        access = self.attached.get(packet.dst)
-        if access is None:
-            self._drop(packet, "host_not_here")
-            return
-        port = self.network.host_port(packet.dst)
-        access.transmit(packet, self.name, port.deliver_from_network)
 
     def _drop(self, packet: Packet, reason: str) -> None:
         """Silently drop; the application is never notified (per paper)."""

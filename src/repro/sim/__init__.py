@@ -15,7 +15,7 @@ from .errors import (
 )
 from .event import DEFAULT_PRIORITY, Event, EventQueue
 from .kernel import Simulator
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .process import PeriodicTask, Timer
 from .rng import RngRegistry, derive_seed
 from .trace import TraceRecord, Tracer, summarize_kinds
@@ -35,7 +35,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "SimulatorFinishedError",
-    "TimeSeries",
     "Timer",
     "TraceRecord",
     "Tracer",

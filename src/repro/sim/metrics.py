@@ -1,7 +1,6 @@
-"""Simulation metrics: counters, gauges, histograms, and time series.
+"""Simulation metrics: counters, gauges and histograms.
 
-The metrics registry is owned by the simulator so every sample is
-implicitly stamped with virtual time.  The analysis layer
+The metrics registry is owned by the simulator.  The analysis layer
 (:mod:`repro.analysis`) builds the paper's cost/delay tables from these
 primitives plus the trace.
 """
@@ -10,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kernel import Simulator
@@ -142,40 +141,6 @@ class Histogram:
         return len(samples) - bisect_left(samples, math.nextafter(threshold, math.inf))
 
 
-class TimeSeries:
-    """(time, value) samples, e.g. queue length over time."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.points: List[Tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append one ``(time, value)`` point."""
-        self.points.append((time, value))
-
-    def values(self) -> List[float]:
-        """The recorded values, in order."""
-        return [value for _, value in self.points]
-
-    def max(self) -> float:
-        """Largest recorded value (NaN when empty)."""
-        return max(self.values()) if self.points else math.nan
-
-    def time_average(self, until: Optional[float] = None) -> float:
-        """Time-weighted average assuming step interpolation."""
-        if not self.points:
-            return math.nan
-        end = until if until is not None else self.points[-1][0]
-        total = 0.0
-        for (t0, v0), (t1, _) in zip(self.points, self.points[1:]):
-            total += v0 * (min(t1, end) - t0)
-        last_t, last_v = self.points[-1]
-        if end > last_t:
-            total += last_v * (end - last_t)
-        span = end - self.points[0][0]
-        return total / span if span > 0 else self.points[0][1]
-
-
 class MetricsRegistry:
     """Namespace of metrics owned by one simulator."""
 
@@ -184,7 +149,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._series: Dict[str, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
         """The named counter, created on first use."""
@@ -203,16 +167,6 @@ class MetricsRegistry:
         if name not in self._histograms:
             self._histograms[name] = Histogram(name)
         return self._histograms[name]
-
-    def series(self, name: str) -> TimeSeries:
-        """The named time series, created on first use."""
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
-
-    def record_series(self, name: str, value: float) -> None:
-        """Append a point stamped with the current virtual time."""
-        self.series(name).record(self._sim.now, value)
 
     def counters(self, prefix: str = "") -> Dict[str, float]:
         """Snapshot of all counter values whose name starts with ``prefix``."""

@@ -100,31 +100,6 @@ def test_histogram_quantiles_monotone_and_bounded(samples):
     assert h.mean == pytest.approx(sum(samples) / len(samples), rel=1e-9, abs=1e-6)
 
 
-def test_timeseries_records_sim_time():
-    sim = Simulator()
-    sim.schedule(2.0, lambda: sim.metrics.record_series("q", 5))
-    sim.schedule(4.0, lambda: sim.metrics.record_series("q", 1))
-    sim.run()
-    series = sim.metrics.series("q")
-    assert series.points == [(2.0, 5), (4.0, 1)]
-    assert series.max() == 5
-
-
-def test_timeseries_time_average_step_interpolation():
-    sim = Simulator()
-    series = sim.metrics.series("q")
-    series.record(0.0, 2.0)
-    series.record(4.0, 6.0)
-    # value 2 for 4 units, then 6 for 4 units -> average 4
-    assert series.time_average(until=8.0) == pytest.approx(4.0)
-
-
-def test_timeseries_empty_stats_are_nan():
-    sim = Simulator()
-    assert math.isnan(sim.metrics.series("empty").max())
-    assert math.isnan(sim.metrics.series("empty").time_average())
-
-
 @given(st.lists(st.tuples(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     st.sampled_from(["none", "quantile", "min", "max", "count_above", "stddev"])),

@@ -73,3 +73,16 @@ class TestTable:
     def test_needs_columns(self):
         with pytest.raises(ValueError):
             Table([])
+
+
+def test_source_peak_queue_is_the_access_link_queue_peak():
+    sim = Simulator(seed=2)
+    built = wan_of_lans(sim, clusters=2, hosts_per_cluster=4, backbone="line")
+    system = BasicBroadcastSystem(built).start()
+    system.broadcast_stream(10, interval=0.2, start_at=2.0)
+    system.run_until_delivered(10, timeout=200.0)
+    report = congestion_report(sim, built.network, system.source_id)
+    link = built.network.access_link(system.source_id)
+    assert report.source_peak_queue == link.queue_peak(str(system.source_id))
+    assert report.source_peak_queue > 1  # the basic source's copies queue up
+

@@ -169,3 +169,35 @@ def test_transmission_counters():
     assert sim.metrics.counter("net.link_tx.total").value == 1
     assert sim.metrics.counter("net.link_tx.expensive").value == 1
     assert sim.metrics.counter("net.link_tx.kind.raw").value == 1
+
+
+def test_set_down_loses_exactly_the_in_flight_copies():
+    sim, link = make_link(cheap_spec(latency=1.0, dup_prob=1.0))
+    prior = sim.pending
+    got = []
+    ab, ba = pkt(), pkt()
+    link.transmit(ab, "a", got.append)  # plus its duplicate
+    link.transmit(ba, "b", got.append)  # plus its duplicate
+    assert (link.queue_length("a"), link.queue_length("b")) == (2, 2)
+    assert sim.pending == prior + 4
+    sim.schedule(0.5, link.set_down)
+    sim.run(until=0.6)
+    assert got == []
+    assert sim.pending == prior
+    assert (link.queue_length("a"), link.queue_length("b")) == (0, 0)
+    assert sim.metrics.counter("net.drop.down").value == 4
+    lost = [r.fields["packet"] for r in sim.trace.records(kind="link.drop_down")]
+    assert sorted(lost) == sorted([ab.packet_id] * 2 + [ba.packet_id] * 2)
+
+    # After repair the link behaves like a fresh one: no stale queue.
+    link.set_up()
+    fresh_sim, fresh = make_link(cheap_spec(latency=1.0, dup_prob=1.0))
+    fresh_got = []
+    after = pkt()
+    link.transmit(after, "a", lambda p: got.append((p.packet_id, sim.now - 0.6)))
+    fresh.transmit(pkt(), "a", lambda p: fresh_got.append(fresh_sim.now))
+    sim.run()
+    fresh_sim.run()
+    assert [pid for pid, _ in got] == [after.packet_id] * 2
+    assert [delay for _, delay in got] == pytest.approx(fresh_got)
+    assert sim.metrics.counter("net.drop.down").value == 4

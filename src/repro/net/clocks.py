@@ -21,7 +21,7 @@ survive this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sim import Simulator
 from .addressing import HostId

@@ -62,7 +62,7 @@ class CrossTrafficGenerator:
         self._flows.append((link, from_node, spec))
         task = PeriodicTask(
             self.sim, 1.0 / spec.rate,
-            lambda l=link, f=from_node, s=spec: self._inject(l, f, s),
+            lambda lk=link, f=from_node, s=spec: self._inject(lk, f, s),
             jitter=0.2 / spec.rate,
             rng_stream=f"{self.name}.{link.link_id}.{from_node}",
             name=f"{self.name}")

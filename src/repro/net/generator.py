@@ -14,7 +14,7 @@ protocol never reads it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from ..sim import Simulator
 from .addressing import HostId

@@ -132,7 +132,6 @@ def _dijkstra_next_hops(
     ordering so identical seeds give identical routes.
     """
     dist: Dict[str, float] = {source: 0.0}
-    first_hop: Dict[str, str] = {}
     heap = [(0.0, source, source)]  # (distance, node, first hop used)
     visited: Dict[str, str] = {}
     while heap:

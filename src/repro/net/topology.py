@@ -9,7 +9,7 @@ their :class:`repro.net.hostiface.HostPort`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..sim import Simulator
 from .addressing import HostId, LinkId
@@ -213,7 +213,7 @@ class Network:
         for link in self.links.values():
             if link_filter(link):
                 union(link.link_id.a, link.link_id.b)
-        roots = {}
+        roots: Dict[str, int] = {}
         labels: Dict[str, int] = {}
         for node in sorted(parent):
             root = find(node)

@@ -38,7 +38,7 @@ from .multisource import MultiSourceBroadcastSystem
 from .ordering import FifoDeliveryAdapter
 from .resources import ResourceConfig, ShedPolicy, TokenBucket
 from .rtt import CongestionSignal, ExponentialBackoff, PeerRtt, RttEstimator
-from .seqnoset import SeqnoSet, info_equiv, info_leq, info_less
+from .seqnoset import FrozenSeqnoSet, SeqnoSet, info_equiv, info_leq, info_less
 from .source import SourceHost
 from .wire import (
     KIND_CONTROL,
@@ -81,6 +81,7 @@ __all__ = [
     "ResourceConfig",
     "RttEstimator",
     "SeqnoSet",
+    "FrozenSeqnoSet",
     "ShedPolicy",
     "TokenBucket",
     "SourceHost",

@@ -17,17 +17,20 @@ Five message types implement the whole protocol:
 * :class:`DetachNotice` — tells an old parent that a child has left.
 
 All payloads are frozen dataclasses satisfying the network's
-:class:`repro.net.message.Payload` protocol.  INFO sets are *copied* at
-construction: a payload must be an immutable snapshot, not an alias of
-live mutable host state.
+:class:`repro.net.message.Payload` protocol.  INFO sets are shared
+frozen snapshots: construction calls ``info.snapshot()``, so every
+payload built while a host's INFO set is unchanged carries the same
+:class:`~repro.core.seqnoset.FrozenSeqnoSet`, and a receiver may keep
+it without copying — its mutators raise.
 
 Wire hardening
 --------------
 
 Every payload carries a ``checksum`` over its semantic fields — the
-tuple hash of a fully *numeric* canonical (strings pre-folded through
-CRC-32), which is deterministic across processes because Python only
-randomizes str/bytes hashing — computed at construction.  Receivers
+tuple hash of a fully *numeric* canonical (type tags and host names
+pre-folded through CRC-32; an INFO set contributes its snapshot's
+cached ``canonical``), which is deterministic across processes because
+Python only randomizes str/bytes hashing — computed at construction.  Receivers
 call :func:`checksum_ok` and drop-and-count mismatches, so a corrupted
 message can garble *one* delivery but never wedge protocol state.
 Control payloads additionally carry a ``uid`` unique per construction;
@@ -72,7 +75,7 @@ from math import isfinite
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..net import HostId, RawPayload
-from .seqnoset import SeqnoSet
+from .seqnoset import FrozenSeqnoSet, SeqnoSet
 
 #: payload kind tags used for traffic accounting
 KIND_DATA = "data"
@@ -84,28 +87,37 @@ _AUTO = -1
 _uids = itertools.count(1)
 
 
-def _snapshot(info: SeqnoSet) -> SeqnoSet:
-    return info.copy()
-
-
 def _info_canonical(info: SeqnoSet) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    return (info.floor, tuple(info.ranges()))
-
-
-#: cached CRC-32 per string — host names and type tags repeat endlessly,
-#: and folding them to ints keeps the canonical tuples fully numeric
-_str_crc: dict = {}
+    # A payload's INFO field is the FrozenSeqnoSet its __post_init__ set.
+    return info.canonical  # type: ignore[attr-defined]
 
 
 def _scrc(s: str) -> int:
-    value = _str_crc.get(s)
-    if value is None:
-        value = _str_crc[s] = zlib.crc32(s.encode("utf-8"))
-    return value
+    return zlib.crc32(s.encode("utf-8"))
 
 
-def _host_crc(host: Optional[HostId]) -> int:
-    return -1 if host is None else _scrc(host.name)
+#: each payload's type tag, folded once (canonicals stay fully numeric)
+_CRC_DATA = _scrc("data")
+_CRC_INFO = _scrc("info")
+_CRC_ATTACH_REQ = _scrc("attach_req")
+_CRC_ATTACH_ACK = _scrc("attach_ack")
+_CRC_DETACH = _scrc("detach")
+
+
+class _HostCrcs(Dict[Optional[HostId], int]):
+    """Host id -> CRC-32 of its name (-1 for "no host").
+
+    ``_HOST_CRC[host]`` is one C-level dict lookup; a host's first
+    lookup fills its entry.  Host ids are interned and repeat endlessly,
+    so the table stays as small as the deployment.
+    """
+
+    def __missing__(self, host: HostId) -> int:
+        value = self[host] = _scrc(host.name)
+        return value
+
+
+_HOST_CRC = _HostCrcs({None: -1})
 
 
 def _content_crc(content: object) -> int:
@@ -190,8 +202,8 @@ class DataMsg:
             object.__setattr__(self, "checksum", compute_checksum(self._canonical()))
 
     def _canonical(self) -> tuple:
-        return (_scrc("data"), self.seq, _content_crc(self.content),
-                self.created_at, _host_crc(self.origin), self.gapfill)
+        return (_CRC_DATA, self.seq, _content_crc(self.content),
+                self.created_at, _HOST_CRC[self.origin], self.gapfill)
 
     @property
     def kind(self) -> str:
@@ -223,15 +235,15 @@ class InfoMsg:
     checksum: int = _AUTO
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "info", _snapshot(self.info))
+        object.__setattr__(self, "info", self.info.snapshot())
         if self.uid == 0:
             object.__setattr__(self, "uid", next(_uids))
         if self.checksum == _AUTO:
             object.__setattr__(self, "checksum", compute_checksum(self._canonical()))
 
     def _canonical(self) -> tuple:
-        return (_scrc("info"), _host_crc(self.sender),
-                _info_canonical(self.info), _host_crc(self.parent),
+        return (_CRC_INFO, _HOST_CRC[self.sender],
+                _info_canonical(self.info), _HOST_CRC[self.parent],
                 self.stamp, self.echo_stamp, self.echo_hold, self.uid)
 
     @property
@@ -253,14 +265,14 @@ class AttachRequest:
     checksum: int = _AUTO
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "child_info", _snapshot(self.child_info))
+        object.__setattr__(self, "child_info", self.child_info.snapshot())
         if self.uid == 0:
             object.__setattr__(self, "uid", next(_uids))
         if self.checksum == _AUTO:
             object.__setattr__(self, "checksum", compute_checksum(self._canonical()))
 
     def _canonical(self) -> tuple:
-        return (_scrc("attach_req"), _host_crc(self.child),
+        return (_CRC_ATTACH_REQ, _HOST_CRC[self.child],
                 _info_canonical(self.child_info), self.attempt, self.uid)
 
     @property
@@ -282,16 +294,16 @@ class AttachAck:
     checksum: int = _AUTO
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parent_info", _snapshot(self.parent_info))
+        object.__setattr__(self, "parent_info", self.parent_info.snapshot())
         if self.uid == 0:
             object.__setattr__(self, "uid", next(_uids))
         if self.checksum == _AUTO:
             object.__setattr__(self, "checksum", compute_checksum(self._canonical()))
 
     def _canonical(self) -> tuple:
-        return (_scrc("attach_ack"), _host_crc(self.parent), self.attempt,
+        return (_CRC_ATTACH_ACK, _HOST_CRC[self.parent], self.attempt,
                 _info_canonical(self.parent_info),
-                _host_crc(self.parent_parent), self.uid)
+                _HOST_CRC[self.parent_parent], self.uid)
 
     @property
     def kind(self) -> str:
@@ -315,7 +327,7 @@ class DetachNotice:
             object.__setattr__(self, "checksum", compute_checksum(self._canonical()))
 
     def _canonical(self) -> tuple:
-        return (_scrc("detach"), _host_crc(self.child), self.uid)
+        return (_CRC_DETACH, _HOST_CRC[self.child], self.uid)
 
     @property
     def kind(self) -> str:
@@ -444,14 +456,16 @@ def _pack_seqnos(info: SeqnoSet) -> bytes:
     return _SEQNOS_HEAD.pack(floor, count) + _runs_struct(count).pack(*flat)
 
 
-def _unpack_seqnos(frame: bytes, offset: int) -> SeqnoSet:
-    """The set that ends the frame at ``offset``."""
+def _unpack_seqnos(frame: bytes, offset: int) -> FrozenSeqnoSet:
+    """The set that ends the frame at ``offset``, built frozen: the
+    payload adopts it as its snapshot."""
     floor, count = _SEQNOS_HEAD.unpack_from(frame, offset)
     offset += _SEQNOS_HEAD.size
     if len(frame) != offset + 16 * count:
         raise FrameError("frame length does not match its run count")
     flat = _runs_struct(count).unpack_from(frame, offset)
-    return SeqnoSet.from_runs(floor, list(flat[0::2]), list(flat[1::2]))
+    return FrozenSeqnoSet.from_runs(floor, list(flat[0::2]),
+                                    list(flat[1::2]))
 
 
 # -- DataMsg ------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Unit tests for MAP / parent-pointer state."""
 
-from repro.core import MapState, SeqnoSet
+import pytest
+
+from repro.core import AttachRequest, InfoMsg, MapState, SeqnoSet
 from repro.net import HostId
 
 ME, A, B, C = (HostId(x) for x in "mabc")
@@ -70,6 +72,81 @@ def test_known_hosts():
     state, _ = make_state()
     state.apply_info(A, SeqnoSet(), None)
     assert state.known_hosts() == {ME, A}
+
+
+def test_reads_and_optimistic_marks_do_not_make_a_host_known():
+    state, _ = make_state()
+    assert state.info_of(A).max_seqno == 0
+    state.note_sent(A, 1)
+    assert A not in state.known_hosts()
+    assert 1 in state.info_of(A)  # the mark itself is kept
+    state.apply_info(A, SeqnoSet([1]), None)
+    assert A in state.known_hosts()
+
+
+def test_data_and_attach_evidence_make_a_host_known():
+    state, _ = make_state()
+    state.note_has(A, 4)
+    state.merge(B, SeqnoSet([1, 2]))
+    assert state.known_hosts() == {ME, A, B}
+
+
+def test_reading_an_unknown_host_creates_no_view():
+    state, _ = make_state()
+    empty = state.info_of(A)
+    assert empty is state.info_of(B)  # one shared empty snapshot
+    with pytest.raises(TypeError):
+        empty.add(1)
+    assert state.known_hosts() == {ME}
+
+
+class TestCopyOnWriteViews:
+    """A view is the received snapshot until its first mark."""
+
+    def test_apply_info_adopts_the_payload_set_without_copying(self):
+        state, _ = make_state()
+        msg = InfoMsg(A, SeqnoSet([1, 2]), B)
+        state.apply_info(A, msg.info, msg.parent)
+        assert state.info_of(A) is msg.info
+
+    def test_marks_never_write_to_the_snapshot(self):
+        state, _ = make_state()
+        first = InfoMsg(A, SeqnoSet([1, 3]), None)
+        msg = InfoMsg(A, SeqnoSet([1, 3, 5]), None)
+        state.apply_info(A, first.info, None)
+        state.apply_info(A, msg.info, None)
+        state.note_sent(A, 2)
+        state.note_sent(A, 6)
+        state.note_has(A, 4)
+        assert list(msg.info) == [1, 3, 5]
+        assert list(state.info_of(A)) == [1, 2, 3, 4, 5, 6]
+        assert state.authoritative_prefix(A) == 1
+        assert state.persistent_hole(A, 2)  # marks are not authoritative
+
+    def test_merge_unions_into_a_copy(self):
+        state, _ = make_state()
+        msg = InfoMsg(A, SeqnoSet([1, 2]), None)
+        state.apply_info(A, msg.info, None)
+        request = AttachRequest(A, SeqnoSet([4, 5]))
+        state.merge(A, request.child_info)
+        assert list(state.info_of(A)) == [1, 2, 4, 5]
+        assert list(msg.info) == [1, 2]
+        assert list(request.child_info) == [4, 5]
+        assert state.info_of(A) is not msg.info
+
+    def test_merge_into_an_unknown_host(self):
+        state, _ = make_state()
+        info = SeqnoSet([1, 2])
+        state.merge(A, info)
+        state.note_sent(A, 3)
+        assert list(state.info_of(A)) == [1, 2, 3]
+        assert list(info) == [1, 2]
+
+    def test_own_view_is_never_marked_or_merged(self):
+        state, own = make_state()
+        state.note_sent(ME, 9)
+        state.merge(ME, SeqnoSet([10]))
+        assert list(own) == [1, 2, 3]
 
 
 class TestAncestorWalks:

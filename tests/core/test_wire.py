@@ -1,5 +1,7 @@
 """Unit tests for wire message payloads."""
 
+import zlib
+
 from repro.core import (
     KIND_CONTROL,
     KIND_DATA,
@@ -9,7 +11,9 @@ from repro.core import (
     DetachNotice,
     InfoMsg,
     SeqnoSet,
+    checksum_ok,
 )
+from repro.core.wire import compute_checksum
 from repro.net import HostId, Payload
 
 
@@ -58,6 +62,32 @@ def test_attach_ack_snapshots_parent_info():
     assert list(ack.parent_info) == [3]
     assert ack.attempt == 7
     assert ack.parent_parent == HostId("g")
+
+
+def test_payloads_built_from_an_unchanged_set_share_one_snapshot():
+    live = SeqnoSet([1, 2, 4])
+    first = InfoMsg(HostId("a"), live, None, stamp=1.0)
+    second = InfoMsg(HostId("a"), live, HostId("b"), stamp=2.0)
+    request = AttachRequest(HostId("a"), live)
+    assert second.info is first.info
+    assert request.child_info is first.info
+    live.add(3)
+    third = InfoMsg(HostId("a"), live, None)
+    assert third.info is not first.info
+    assert list(first.info) == [1, 2, 4]
+
+
+def test_snapshot_checksums_match_the_full_canonical():
+    """Sharing a sealed canonical changes no checksum value."""
+    live = SeqnoSet.range(1, 7)
+    live.add(9)
+    live.prune_through(3)
+    msg = InfoMsg(HostId("a"), live, HostId("b"), stamp=1.5, uid=42)
+    canonical = (zlib.crc32(b"info"), zlib.crc32(b"a"),
+                 (3, ((4, 7), (9, 9))), zlib.crc32(b"b"),
+                 1.5, -1.0, 0.0, 42)
+    assert msg.checksum == compute_checksum(canonical)
+    assert checksum_ok(msg)
 
 
 def test_data_msg_fields():

@@ -13,6 +13,7 @@ from repro.core import (
     AttachRequest,
     DataMsg,
     DetachNotice,
+    FrozenSeqnoSet,
     InfoMsg,
     SeqnoSet,
     checksum_ok,
@@ -90,8 +91,14 @@ class TestRoundTrip:
             TABLE, encode_frame(TABLE, A, 0.0, InfoMsg(A, info, None)))
         assert decoded.info == info
         assert decoded.info.runs() == info.runs()  # floor/run split too
-        decoded.info.add(3)
-        assert 3 not in info
+        # Decoded frozen: the payload's snapshot, not a copy to re-seal.
+        assert isinstance(decoded.info, FrozenSeqnoSet)
+        assert decoded.info.snapshot() is decoded.info
+        with pytest.raises(TypeError):
+            decoded.info.add(3)
+        mine = decoded.info.copy()
+        mine.add(3)
+        assert 3 not in decoded.info and 3 not in info
 
     def test_frames_are_a_fraction_of_pickle(self):
         data = DataMsg(17, "msg-17", 1.0, A, size_bits=4_000)

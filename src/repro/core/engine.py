@@ -89,9 +89,12 @@ class BroadcastSystem(SimDeployment):
         if port_of is None:
             port_of = self.network.host_port
         if self.config.enable_piggybacking:
-            inner_port_of = port_of
-            port_of = lambda h: PiggybackPort(
-                inner_port_of(h), window=self.config.piggyback_window)
+            inner_port_of, window = port_of, self.config.piggyback_window
+
+            def piggybacked(h: HostId) -> Transport:
+                return PiggybackPort(inner_port_of(h), window=window)
+
+            port_of = piggybacked
         self.hosts = build_tree_hosts(
             self.runtime, built.hosts, self.source_id, port_of, self.config,
             clusters=(self.network.true_clusters()

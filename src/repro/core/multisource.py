@@ -24,6 +24,7 @@ streams pushed through a single instance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -206,11 +207,8 @@ class MultiSourceBroadcastSystem:
         self.instances: Dict[HostId, BroadcastSystem] = {}
         for source in sources:
             instance_name = f"src:{source}"
-            instance_callback = None
-            if deliver_callback is not None:
-                instance_callback = (
-                    lambda host, record, s=source:
-                    deliver_callback(s, host, record))
+            instance_callback = (None if deliver_callback is None
+                                 else functools.partial(deliver_callback, source))
             self.instances[source] = BroadcastSystem(
                 built, config=instance_config, source=source,
                 deliver_callback=instance_callback,

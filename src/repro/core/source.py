@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..io.interfaces import PeriodicHandle
-from ..net import HostId
 from .delivery import DeliveryRecord
 from .host import BroadcastHost
 from .resources import TokenBucket

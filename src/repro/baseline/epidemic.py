@@ -28,27 +28,26 @@ from ..core.seqnoset import SeqnoSet
 from ..core.wire import KIND_CONTROL, DataMsg
 from ..io.interfaces import Runtime, Transport
 from ..io.simbackend import SimDeployment
-from ..net import BuiltTopology, HostId, Packet
+from ..net import BuiltTopology, HostId, Packet, TuplePayload
 from .common import BaselineHostBase
 
 
-@dataclass(frozen=True)
-class Digest:
+class Digest(TuplePayload):
     """Anti-entropy digest: the sender's INFO snapshot."""
+
+    __slots__ = ()
 
     sender: HostId
     info: SeqnoSet
     #: True when this digest is a reply (prevents infinite digest ping-pong)
-    reply: bool = False
-    size_bits: int = 1_000
+    reply: bool
+    size_bits: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "info", self.info.copy())
+    kind = KIND_CONTROL
 
-    @property
-    def kind(self) -> str:
-        """Payload class tag used for traffic accounting."""
-        return KIND_CONTROL
+    def __new__(cls, sender: HostId, info: SeqnoSet, reply: bool = False,
+                size_bits: int = 1_000) -> "Digest":
+        return tuple.__new__(cls, (sender, info.copy(), reply, size_bits))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..net import BuiltTopology, HostId, HostPort, Packet, Payload
+from ..net import BuiltTopology, HostId, HostPort, Packet, Payload, TuplePayload
 from ..sim import Simulator
 from .config import ProtocolConfig
 from .delivery import DeliveryRecord
@@ -39,12 +38,16 @@ from .piggyback import PiggybackPort
 MultiSourceDeliverCallback = Callable[[HostId, HostId, DeliveryRecord], None]
 
 
-@dataclass(frozen=True)
-class TaggedPayload:
+class TaggedPayload(TuplePayload):
     """An instance-tagged wrapper around a protocol payload."""
+
+    __slots__ = ()
 
     instance: str
     inner: Payload
+
+    def __new__(cls, instance: str, inner: Payload) -> "TaggedPayload":
+        return tuple.__new__(cls, (instance, inner))
 
     @property
     def kind(self) -> str:

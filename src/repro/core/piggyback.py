@@ -23,10 +23,9 @@ multi-source :class:`~repro.core.multisource.VirtualPort`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..net import HostId, Packet, Payload
+from ..net import HostId, Packet, Payload, TuplePayload
 from ..sim import Event, Simulator
 from .wire import KIND_CONTROL
 
@@ -34,17 +33,19 @@ from .wire import KIND_CONTROL
 DEFAULT_HEADER_BITS = 400
 
 
-@dataclass(frozen=True)
-class ControlBundle:
+class ControlBundle(TuplePayload):
     """Several control messages in one packet."""
 
-    messages: Tuple[Payload, ...]
-    header_bits: int = DEFAULT_HEADER_BITS
+    __slots__ = ()
 
-    @property
-    def kind(self) -> str:
-        """Payload class tag used for traffic accounting."""
-        return KIND_CONTROL
+    messages: Tuple[Payload, ...]
+    header_bits: int
+
+    kind = KIND_CONTROL
+
+    def __new__(cls, messages: Tuple[Payload, ...],
+                header_bits: int = DEFAULT_HEADER_BITS) -> "ControlBundle":
+        return tuple.__new__(cls, (messages, header_bits))
 
     @property
     def size_bits(self) -> int:

@@ -16,12 +16,14 @@ Five message types implement the whole protocol:
   the parent's INFO set and parent pointer for the child's MAP.
 * :class:`DetachNotice` — tells an old parent that a child has left.
 
-All payloads are frozen dataclasses satisfying the network's
-:class:`repro.net.message.Payload` protocol.  INFO sets are shared
-frozen snapshots: construction calls ``info.snapshot()``, so every
-payload built while a host's INFO set is unchanged carries the same
-:class:`~repro.core.seqnoset.FrozenSeqnoSet`, and a receiver may keep
-it without copying — its mutators raise.
+All payloads are :class:`~repro.net.message.TuplePayload` classes: a
+tuple of fields built by one C call at the end of ``__new__``, read
+through C getters, with a class-level ``kind``.  Assigning a field
+raises, and ``_replace`` copies a payload through its constructor.
+INFO sets are shared frozen snapshots: construction calls
+``info.snapshot()``, so every payload built while a host's INFO set is
+unchanged carries the same :class:`~repro.core.seqnoset.FrozenSeqnoSet`,
+and a receiver may keep it without copying — its mutators raise.
 
 Wire hardening
 --------------
@@ -70,11 +72,10 @@ from __future__ import annotations
 import itertools
 import struct
 import zlib
-from dataclasses import dataclass, replace
 from math import isfinite
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from ..net import HostId, RawPayload
+from ..net import HostId, RawPayload, TuplePayload
 from .seqnoset import FrozenSeqnoSet, SeqnoSet
 
 #: payload kind tags used for traffic accounting
@@ -85,11 +86,6 @@ KIND_CONTROL = "control"
 _AUTO = -1
 
 _uids = itertools.count(1)
-
-
-def _info_canonical(info: SeqnoSet) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    # A payload's INFO field is the FrozenSeqnoSet its __post_init__ set.
-    return info.canonical  # type: ignore[attr-defined]
 
 
 def _scrc(s: str) -> int:
@@ -141,12 +137,8 @@ def compute_checksum(canonical: object) -> int:
 def checksum_ok(payload: object) -> bool:
     """Validate a payload's checksum; payloads without one pass."""
     expected = getattr(payload, "checksum", None)
-    if expected is None:
-        return True
-    canonical = getattr(payload, "_canonical", None)
-    if canonical is None:  # pragma: no cover - all wire payloads have it
-        return True
-    return expected == compute_checksum(canonical())
+    return expected is None or expected == compute_checksum(
+        payload._canonical())  # type: ignore[attr-defined]
 
 
 def corrupted_copy(payload: object) -> Optional[object]:
@@ -157,9 +149,10 @@ def corrupted_copy(payload: object) -> Optional[object]:
     corrupt detectably — e.g. a piggyback bundle; its inner messages
     are checksummed individually).
     """
-    if getattr(payload, "checksum", None) is None:
+    checksum = getattr(payload, "checksum", None)
+    if checksum is None:
         return None
-    return replace(payload, checksum=payload.checksum ^ 0x5A5A5A5A)  # type: ignore[arg-type]
+    return payload._replace(checksum=checksum ^ 0x5A5A5A5A)  # type: ignore[attr-defined]
 
 
 def forged_copy(payload: object, **overrides: object) -> object:
@@ -176,11 +169,10 @@ def forged_copy(payload: object, **overrides: object) -> object:
     """
     if getattr(payload, "checksum", None) is not None:
         overrides.setdefault("checksum", _AUTO)
-    return replace(payload, **overrides)  # type: ignore[arg-type]
+    return payload._replace(**overrides)  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class DataMsg:
+class DataMsg(TuplePayload):
     """One broadcast data message.
 
     ``gapfill`` marks redeliveries (sent to fill another host's gap);
@@ -189,30 +181,34 @@ class DataMsg:
     traffic accounting and traces.
     """
 
+    __slots__ = ()
+
     seq: int
     content: object
     created_at: float
     origin: HostId
-    gapfill: bool = False
-    size_bits: int = 8_000
-    checksum: int = _AUTO
+    gapfill: bool
+    size_bits: int
+    checksum: int
 
-    def __post_init__(self) -> None:
-        if self.checksum == _AUTO:
-            object.__setattr__(self, "checksum", compute_checksum(self._canonical()))
+    kind = KIND_DATA
 
-    def _canonical(self) -> tuple:
-        return (_CRC_DATA, self.seq, _content_crc(self.content),
-                self.created_at, _HOST_CRC[self.origin], self.gapfill)
+    def __new__(cls, seq: int, content: object, created_at: float,
+                origin: HostId, gapfill: bool = False, size_bits: int = 8_000,
+                checksum: int = _AUTO) -> "DataMsg":
+        if checksum == _AUTO:
+            checksum = compute_checksum(
+                cls._canonical((seq, content, created_at, origin, gapfill)))
+        return tuple.__new__(cls, (seq, content, created_at, origin, gapfill,
+                                size_bits, checksum))
 
-    @property
-    def kind(self) -> str:
-        """Payload class tag used for traffic accounting."""
-        return KIND_DATA
+    def _canonical(self: Sequence[Any]) -> tuple:
+        # Positional, so __new__ can run it on its arguments.
+        return (_CRC_DATA, self[0], _content_crc(self[1]), self[2],
+                _HOST_CRC[self[3]], self[4])
 
 
-@dataclass(frozen=True)
-class InfoMsg:
+class InfoMsg(TuplePayload):
     """Periodic INFO-set and parent-pointer exchange (also a heartbeat).
 
     ``stamp`` is the sender's clock at send time; ``echo_stamp`` /
@@ -224,115 +220,114 @@ class InfoMsg:
     means "no sample" (e.g. pre-adaptive senders).
     """
 
+    __slots__ = ()
+
     sender: HostId
-    info: SeqnoSet
+    info: FrozenSeqnoSet
     parent: Optional[HostId]
-    size_bits: int = 1_000
-    stamp: float = -1.0
-    echo_stamp: float = -1.0
-    echo_hold: float = 0.0
-    uid: int = 0
-    checksum: int = _AUTO
+    size_bits: int
+    stamp: float
+    echo_stamp: float
+    echo_hold: float
+    uid: int
+    checksum: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "info", self.info.snapshot())
-        if self.uid == 0:
-            object.__setattr__(self, "uid", next(_uids))
-        if self.checksum == _AUTO:
-            object.__setattr__(self, "checksum", compute_checksum(self._canonical()))
+    kind = KIND_CONTROL
 
-    def _canonical(self) -> tuple:
-        return (_CRC_INFO, _HOST_CRC[self.sender],
-                _info_canonical(self.info), _HOST_CRC[self.parent],
-                self.stamp, self.echo_stamp, self.echo_hold, self.uid)
+    def __new__(cls, sender: HostId, info: SeqnoSet, parent: Optional[HostId],
+                size_bits: int = 1_000, stamp: float = -1.0,
+                echo_stamp: float = -1.0, echo_hold: float = 0.0,
+                uid: int = 0, checksum: int = _AUTO) -> "InfoMsg":
+        fields = (sender, info.snapshot(), parent, size_bits, stamp,
+                  echo_stamp, echo_hold, uid or next(_uids))
+        if checksum == _AUTO:
+            checksum = compute_checksum(cls._canonical(fields))
+        return tuple.__new__(cls, fields + (checksum,))
 
-    @property
-    def kind(self) -> str:
-        """Payload class tag used for traffic accounting."""
-        return KIND_CONTROL
+    def _canonical(self: Sequence[Any]) -> tuple:
+        return (_CRC_INFO, _HOST_CRC[self[0]], self[1].canonical,
+                _HOST_CRC[self[2]], self[4], self[5], self[6], self[7])
 
 
-@dataclass(frozen=True)
-class AttachRequest:
+class AttachRequest(TuplePayload):
     """Child asks to be included in the candidate parent's CHILDREN set."""
 
+    __slots__ = ()
+
     child: HostId
-    child_info: SeqnoSet
+    child_info: FrozenSeqnoSet
     #: monotone per-child counter so stale acks can be recognized
-    attempt: int = 0
-    size_bits: int = 1_000
-    uid: int = 0
-    checksum: int = _AUTO
+    attempt: int
+    size_bits: int
+    uid: int
+    checksum: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "child_info", self.child_info.snapshot())
-        if self.uid == 0:
-            object.__setattr__(self, "uid", next(_uids))
-        if self.checksum == _AUTO:
-            object.__setattr__(self, "checksum", compute_checksum(self._canonical()))
+    kind = KIND_CONTROL
 
-    def _canonical(self) -> tuple:
-        return (_CRC_ATTACH_REQ, _HOST_CRC[self.child],
-                _info_canonical(self.child_info), self.attempt, self.uid)
+    def __new__(cls, child: HostId, child_info: SeqnoSet, attempt: int = 0,
+                size_bits: int = 1_000, uid: int = 0,
+                checksum: int = _AUTO) -> "AttachRequest":
+        fields = (child, child_info.snapshot(), attempt, size_bits,
+                  uid or next(_uids))
+        if checksum == _AUTO:
+            checksum = compute_checksum(cls._canonical(fields))
+        return tuple.__new__(cls, fields + (checksum,))
 
-    @property
-    def kind(self) -> str:
-        """Payload class tag used for traffic accounting."""
-        return KIND_CONTROL
+    def _canonical(self: Sequence[Any]) -> tuple:
+        return (_CRC_ATTACH_REQ, _HOST_CRC[self[0]], self[1].canonical,
+                self[2], self[4])
 
 
-@dataclass(frozen=True)
-class AttachAck:
+class AttachAck(TuplePayload):
     """Parent confirms the attachment (echoing the request's attempt)."""
+
+    __slots__ = ()
 
     parent: HostId
     attempt: int
-    parent_info: SeqnoSet
+    parent_info: FrozenSeqnoSet
     parent_parent: Optional[HostId]
-    size_bits: int = 1_000
-    uid: int = 0
-    checksum: int = _AUTO
+    size_bits: int
+    uid: int
+    checksum: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parent_info", self.parent_info.snapshot())
-        if self.uid == 0:
-            object.__setattr__(self, "uid", next(_uids))
-        if self.checksum == _AUTO:
-            object.__setattr__(self, "checksum", compute_checksum(self._canonical()))
+    kind = KIND_CONTROL
 
-    def _canonical(self) -> tuple:
-        return (_CRC_ATTACH_ACK, _HOST_CRC[self.parent], self.attempt,
-                _info_canonical(self.parent_info),
-                _HOST_CRC[self.parent_parent], self.uid)
+    def __new__(cls, parent: HostId, attempt: int, parent_info: SeqnoSet,
+                parent_parent: Optional[HostId], size_bits: int = 1_000,
+                uid: int = 0, checksum: int = _AUTO) -> "AttachAck":
+        fields = (parent, attempt, parent_info.snapshot(), parent_parent,
+                  size_bits, uid or next(_uids))
+        if checksum == _AUTO:
+            checksum = compute_checksum(cls._canonical(fields))
+        return tuple.__new__(cls, fields + (checksum,))
 
-    @property
-    def kind(self) -> str:
-        """Payload class tag used for traffic accounting."""
-        return KIND_CONTROL
+    def _canonical(self: Sequence[Any]) -> tuple:
+        return (_CRC_ATTACH_ACK, _HOST_CRC[self[0]], self[1],
+                self[2].canonical, _HOST_CRC[self[3]], self[5])
 
 
-@dataclass(frozen=True)
-class DetachNotice:
+class DetachNotice(TuplePayload):
     """Child tells its former parent to forget it."""
 
+    __slots__ = ()
+
     child: HostId
-    size_bits: int = 1_000
-    uid: int = 0
-    checksum: int = _AUTO
+    size_bits: int
+    uid: int
+    checksum: int
 
-    def __post_init__(self) -> None:
-        if self.uid == 0:
-            object.__setattr__(self, "uid", next(_uids))
-        if self.checksum == _AUTO:
-            object.__setattr__(self, "checksum", compute_checksum(self._canonical()))
+    kind = KIND_CONTROL
 
-    def _canonical(self) -> tuple:
-        return (_CRC_DETACH, _HOST_CRC[self.child], self.uid)
+    def __new__(cls, child: HostId, size_bits: int = 1_000, uid: int = 0,
+                checksum: int = _AUTO) -> "DetachNotice":
+        fields = (child, size_bits, uid or next(_uids))
+        if checksum == _AUTO:
+            checksum = compute_checksum(cls._canonical(fields))
+        return tuple.__new__(cls, fields + (checksum,))
 
-    @property
-    def kind(self) -> str:
-        """Payload class tag used for traffic accounting."""
-        return KIND_CONTROL
+    def _canonical(self: Sequence[Any]) -> tuple:
+        return (_CRC_DETACH, _HOST_CRC[self[0]], self[2])
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,11 @@ protocol machines used before the sans-IO refactor, in the same order,
 so seeded runs are byte-identical to the pre-refactor tree (pinned by
 ``tests/io/test_signature_pin.py``).
 
-Hot-path note: ``trace``/``counter``/``histogram``/``call_soon``/``rng``
-are bound straight to the simulator's own methods at construction, so
-the adapter adds **zero** per-call indirection on the protocol's
-hottest paths — ``runtime.trace(...)`` *is* ``sim.trace.emit(...)``.
+Hot-path note: ``trace``/``counter``/``histogram``/``rng`` are bound
+straight to the simulator's own methods at construction, and ``now``
+to a C-level read of ``sim.now``, so the adapter adds **zero** Python
+frames on the protocol's hottest paths — ``runtime.trace(...)`` *is*
+``sim.trace.emit(...)``.
 
 The sim-side ports (:class:`~repro.net.hostiface.HostPort`,
 :class:`~repro.core.piggyback.PiggybackPort`, the multi-source
@@ -26,6 +27,7 @@ epidemic system classes each add only a constructor to it.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, Callable, List, Optional
 
 from ..net.addressing import HostId
@@ -48,6 +50,8 @@ class SimRuntime:
         self.counter = sim.metrics.counter
         self.histogram = sim.metrics.histogram
         self.rng = sim.rng.stream
+        # ``runtime.now()`` reads the loop-written ``sim.now`` in C.
+        self.now = partial(getattr, sim, "now")
 
     @property
     def trace_sink(self):
@@ -55,10 +59,6 @@ class SimRuntime:
         ``trace``; uniform with ``AsyncioRuntime.trace_sink`` so
         monitors can consume the trace stream on either backend)."""
         return self.sim.trace
-
-    def now(self) -> float:
-        """Current virtual time."""
-        return self.sim.now
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback`` at the current virtual time (FIFO)."""
@@ -96,6 +96,8 @@ class SimRuntime:
     if False:  # pragma: no cover - never executed, aids static analysis
 
         def trace(self, kind: str, source: str, /, **fields: Any) -> None: ...
+
+        def now(self) -> float: ...
 
         def counter(self, name: str): ...
 

@@ -36,7 +36,7 @@ from .link import (
     expensive_spec,
     link_pressure,
 )
-from .message import DEFAULT_SIZE_BITS, DEFAULT_TTL, Packet, Payload, RawPayload, make_packet
+from .message import DEFAULT_SIZE_BITS, DEFAULT_TTL, Packet, Payload, RawPayload, TuplePayload, make_packet
 from .pathdiag import RouteTrace, routes_overview, trace_route
 from .routing import (
     GlobalRoutingEngine,
@@ -81,6 +81,7 @@ __all__ = [
     "Server",
     "ServerId",
     "ServerOutageSchedule",
+    "TuplePayload",
     "cheap_first_metric",
     "cheap_spec",
     "cut_links_between",

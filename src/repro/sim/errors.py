@@ -23,12 +23,8 @@ class SchedulingInPastError(SimulationError):
 
 
 class EventAlreadyCancelledError(SimulationError):
-    """`cancel` was called on an event that is already cancelled."""
+    """`cancel` was called on an event that is already cancelled or fired."""
 
 
 class SimulatorFinishedError(SimulationError):
     """`run` was called on a simulator that has already been stopped."""
-
-
-class StreamNameError(SimulationError):
-    """A random-number stream name was invalid or already registered."""

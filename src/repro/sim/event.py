@@ -1,33 +1,23 @@
 """Events and the pending-event queue.
 
-The queue is a binary heap ordered by ``(time, priority, sequence)``.
-The monotonically increasing sequence number makes ordering of
-same-time, same-priority events deterministic (FIFO in scheduling
-order), which is what makes whole simulations bit-reproducible for a
-given seed.
-
-Hot-path layout (see DESIGN.md "Event-loop fast path"):
-
-* heap entries are plain ``(time, priority, seq, event)`` tuples, so
-  every sift comparison is a C-level tuple compare — the unique ``seq``
-  guarantees the :class:`Event` object itself is never compared;
-* :meth:`push_soon` appends "run at the current time" events to a FIFO
-  deque instead of the heap.  Because virtual time never goes backward
-  and sequence numbers only grow, the deque is sorted by the same
-  ``(time, priority, seq)`` key by construction, and :meth:`pop_next`
-  merges the two structures without ever reordering anything.  The
-  observable execution order is *identical* to a heap-only queue.
-
-Cancellation is *lazy*: a cancelled event stays in its structure but is
-skipped when popped.  This keeps `cancel` O(1) and is the standard
-technique for discrete-event simulators.
+The queue is a binary heap ordered by ``(time, priority, sequence)``;
+the increasing sequence number makes same-time, same-priority events
+run in scheduling order, so whole simulations repeat bit for bit.  A
+heap entry is its own handle, an :class:`Event` list
+``[time, priority, seq, callback, args]``, and it is *dead* once its
+callback slot is None: cancelled (lazily, skipped when popped) or
+fired.  "Run now" events go to a FIFO deque that :func:`due` merges in
+exactly the single-heap order.  See DESIGN.md "Event-loop fast path".
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from collections import deque
-from typing import Any, Callable, List, Optional, Tuple
+from functools import partial
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from .errors import EventAlreadyCancelledError
 
@@ -36,85 +26,92 @@ Callback = Callable[..., None]
 #: Default event priority.  Lower values run first among same-time events.
 DEFAULT_PRIORITY = 0
 
-#: Shared kwargs object for the (overwhelmingly common) no-kwargs case,
-#: so pushing an event does not allocate a fresh empty dict.  Treat as
-#: immutable.
-_NO_KWARGS: dict = {}
+_INF = float("inf")
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback, and its own queue entry.
 
-    Instances are created by :meth:`repro.sim.kernel.Simulator.schedule`
-    and should be treated as opaque handles by callers; the only useful
-    public operations are :meth:`cancel` (via the simulator) and the
-    read-only properties below.
+    The list is ``[time, priority, seq, callback, args]``; callers
+    treat it as an opaque handle whose only useful operations are
+    :meth:`cancel` (via the simulator) and the read-only properties
+    below.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "kwargs", "_cancelled")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callback,
-        args: Tuple[Any, ...],
-        kwargs: Optional[dict],
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.kwargs = kwargs if kwargs else _NO_KWARGS
-        self._cancelled = False
+    time = property(itemgetter(0), doc="Virtual time the event runs at.")
+    callback = property(itemgetter(3), doc="What runs; None once dead.")
+    args = property(itemgetter(4), doc="Positional arguments of the callback.")
 
     @property
     def cancelled(self) -> bool:
-        """True once the event has been cancelled."""
-        return self._cancelled
+        """True once the event can no longer run: cancelled or fired."""
+        return self[3] is None
 
     def cancel(self) -> None:
-        """Mark the event as cancelled.
+        """Mark the event dead.
 
         Raises:
-            EventAlreadyCancelledError: if cancelled twice.
+            EventAlreadyCancelledError: if it is already cancelled or
+                has fired.
         """
-        if self._cancelled:
-            raise EventAlreadyCancelledError(f"event {self!r} already cancelled")
-        self._cancelled = True
-
-    def sort_key(self) -> Tuple[float, int, int]:
-        """Queue ordering key: (time, priority, sequence)."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
+        if self[3] is None:
+            raise EventAlreadyCancelledError(f"event {self!r} already cancelled or fired")
+        self[3] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        state = " cancelled" if self._cancelled else ""
-        return f"<Event t={self.time:.6f} prio={self.priority} #{self.seq} {name}{state}>"
+        callback = self[3]
+        name = "dead" if callback is None else getattr(callback, "__qualname__", repr(callback))
+        return f"<Event t={self[0]:.6f} prio={self[1]} #{self[2]} {name}>"
+
+
+def due(heap: List[Event], fifo: "deque[Event]", limit: float) -> Iterator[Event]:
+    """Pop and yield the live entries with ``time <= limit``, earliest first.
+
+    The one pop path: :meth:`repro.sim.kernel.Simulator.run` iterates it
+    and :meth:`EventQueue.pop_next` takes one item.  Dead entries are
+    dropped on the way.  The structures are re-read on every resumption,
+    so entries pushed by the consumer in between are merged in order.
+    """
+    while True:
+        if fifo:
+            entry = fifo[0]
+            # seq is unique, so the lists never compare equal; this total
+            # order is exactly the single-heap order.
+            if heap and heap[0] < entry:
+                entry = heap[0]
+                if entry[0] > limit:
+                    return
+                heappop(heap)
+            else:
+                if entry[0] > limit:
+                    return
+                fifo.popleft()
+        elif heap:
+            entry = heap[0]
+            if entry[0] > limit:
+                return
+            heappop(heap)
+        else:
+            return
+        if entry[3] is not None:
+            yield entry
 
 
 class EventQueue:
-    """Deterministic priority queue of :class:`Event` objects."""
+    """Deterministic priority queue of :class:`Event` entries."""
 
-    __slots__ = ("_heap", "_fifo", "_seq", "_live")
+    __slots__ = ("_heap", "_fifo", "_seq")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._heap: List[Event] = []
         self._fifo: "deque[Event]" = deque()
-        self._seq = 0
-        self._live = 0
+        self._seq = itertools.count()
 
     def __len__(self) -> int:
-        """Number of live (not cancelled) events."""
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
+        """Number of live (not cancelled, not fired) events."""
+        return sum(e[3] is not None for e in itertools.chain(self._heap, self._fifo))
 
     def push(
         self,
@@ -124,12 +121,11 @@ class EventQueue:
         kwargs: Optional[dict] = None,
         priority: int = DEFAULT_PRIORITY,
     ) -> Event:
-        """Add an event and return its handle."""
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, priority, seq, callback, args, kwargs)
-        heapq.heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
+        """Add an event and return its handle; kwargs are folded in."""
+        if kwargs:
+            callback = partial(callback, **kwargs)
+        event = Event((time, priority, next(self._seq), callback, args))
+        heappush(self._heap, event)
         return event
 
     def push_soon(
@@ -146,16 +142,11 @@ class EventQueue:
         times (and strictly increasing sequence numbers).  Priority is
         always :data:`DEFAULT_PRIORITY`.
         """
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, DEFAULT_PRIORITY, seq, callback, args, kwargs)
+        if kwargs:
+            callback = partial(callback, **kwargs)
+        event = Event((time, DEFAULT_PRIORITY, next(self._seq), callback, args))
         self._fifo.append(event)
-        self._live += 1
         return event
-
-    def note_cancelled(self) -> None:
-        """Account for an event that was cancelled via its handle."""
-        self._live -= 1
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None if empty."""
@@ -164,57 +155,13 @@ class EventQueue:
     def pop_next(self, limit: Optional[float] = None) -> Optional[Event]:
         """Pop the earliest live event with ``time <= limit`` (None = any).
 
-        Returns None — leaving the queue untouched — when the queue is
-        drained or the earliest live event lies beyond ``limit``.
+        Returns None — leaving every live event queued — when the queue
+        is drained or the earliest live event lies beyond ``limit``.
         """
-        heap = self._heap
-        fifo = self._fifo
-        while fifo and fifo[0]._cancelled:
-            fifo.popleft()
-        while heap and heap[0][3]._cancelled:
-            heapq.heappop(heap)
-        if fifo:
-            event = fifo[0]
-            if heap:
-                head = heap[0]
-                # seq is unique, so equality is impossible; this total
-                # order is exactly the old single-heap order.
-                if head[0] < event.time or (
-                    head[0] == event.time
-                    and (head[1], head[2]) < (event.priority, event.seq)
-                ):
-                    event = head[3]
-                    if limit is not None and event.time > limit:
-                        return None
-                    heapq.heappop(heap)
-                    self._live -= 1
-                    return event
-            if limit is not None and event.time > limit:
-                return None
-            fifo.popleft()
-            self._live -= 1
-            return event
-        if heap:
-            event = heap[0][3]
-            if limit is not None and event.time > limit:
-                return None
-            heapq.heappop(heap)
-            self._live -= 1
-            return event
-        return None
+        return next(due(self._heap, self._fifo, _INF if limit is None else limit), None)
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event without removing it."""
-        heap = self._heap
-        fifo = self._fifo
-        while fifo and fifo[0]._cancelled:
-            fifo.popleft()
-        while heap and heap[0][3]._cancelled:
-            heapq.heappop(heap)
-        if fifo:
-            if heap and heap[0][0] < fifo[0].time:
-                return heap[0][0]
-            return fifo[0].time
-        if heap:
-            return heap[0][0]
-        return None
+        live = (e for e in itertools.chain(self._heap, self._fifo) if e[3] is not None)
+        head = min(live, default=None)
+        return None if head is None else head[0]

@@ -1,7 +1,5 @@
 """Unit tests for wire hardening: checksums, uids, corruption helpers."""
 
-import dataclasses
-
 from repro.core import (
     AttachAck,
     AttachRequest,
@@ -67,7 +65,7 @@ def test_checksum_ok_forgives_payloads_without_checksums():
 
 def test_tampered_field_fails_validation():
     msg = DataMsg(3, "payload", 0.0, H)
-    forged = dataclasses.replace(msg, seq=4)  # keeps the old checksum
+    forged = msg._replace(seq=4)  # keeps the old checksum
     assert not checksum_ok(forged)
 
 
@@ -83,7 +81,7 @@ def test_packet_forks_share_the_uid():
     """A duplicated/replayed packet carries the *same* control payload,
     so its uid must match — that is what receive-side dedup keys on."""
     original = AttachAck(H, 1, SeqnoSet(), None)
-    fork = dataclasses.replace(original)
+    fork = original._replace()
     assert fork.uid == original.uid
     assert fork.checksum == original.checksum
 

@@ -41,7 +41,6 @@ def test_cancelled_event_is_skipped():
     first = q.push(1.0, lambda: None)
     second = q.push(2.0, lambda: None)
     first.cancel()
-    q.note_cancelled()
     assert len(q) == 1
     assert q.pop() is second
     assert q.pop() is None
@@ -60,7 +59,6 @@ def test_peek_time_skips_cancelled():
     first = q.push(1.0, lambda: None)
     q.push(4.0, lambda: None)
     first.cancel()
-    q.note_cancelled()
     assert q.peek_time() == 4.0
 
 
@@ -72,5 +70,4 @@ def test_len_counts_live_events_only():
     q = EventQueue()
     events = [q.push(float(i), lambda: None) for i in range(5)]
     events[2].cancel()
-    q.note_cancelled()
     assert len(q) == 4

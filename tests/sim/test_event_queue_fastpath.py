@@ -28,7 +28,6 @@ def test_cancelled_fifo_event_is_skipped():
     keep = queue.push_soon(0.0, order.append, ("keep",), None)
     victim = queue.push_soon(0.0, order.append, ("victim",), None)
     victim.cancel()
-    queue.note_cancelled()
     assert len(queue) == 1
     assert queue.pop() is keep
     assert queue.pop() is None

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.sim import SchedulingInPastError, Simulator, SimulatorFinishedError
+from repro.sim import (
+    EventAlreadyCancelledError,
+    PeriodicTask,
+    SchedulingInPastError,
+    Simulator,
+    SimulatorFinishedError,
+)
 
 
 def test_clock_starts_at_zero():
@@ -93,6 +99,51 @@ def test_try_cancel_is_idempotent():
     assert sim.try_cancel(event) is True
     assert sim.try_cancel(event) is False
     assert sim.try_cancel(None) is False
+
+
+def test_try_cancel_on_a_fired_event_is_a_no_op():
+    """A periodic task that stops itself from its own tick must not
+    cancel the tick that is running: pending keeps the live count."""
+    sim = Simulator()
+    task = PeriodicTask(sim, 1.0, lambda: task.stop()).start()
+    sim.schedule(10.0, lambda: None)
+    sim.run(until=2.0)
+    assert not task.running
+    assert sim.pending == 1
+    sim.run()
+    assert sim.pending == 0
+
+
+def test_a_fired_event_is_dead():
+    sim = Simulator()
+    event = sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert event.cancelled
+    assert sim.try_cancel(event) is False
+    with pytest.raises(EventAlreadyCancelledError):
+        sim.cancel(event)
+
+
+def test_kwargs_reach_the_callback():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda a, b=0: fired.append((a, b)), 1, b=2)
+    sim.call_soon(lambda a, b=0: fired.append((a, b)), 3, b=4)
+    sim.run()
+    assert fired == [(3, 4), (1, 2)]
+
+
+def test_step_runs_one_event_and_reports_idle():
+    sim = Simulator()
+    fired = []
+    sim.schedule(2.0, fired.append, "b")
+    sim.call_soon(fired.append, "a")
+    assert sim.step() is True
+    assert (fired, sim.now) == (["a"], 0.0)
+    assert sim.step() is True
+    assert (fired, sim.now) == (["a", "b"], 2.0)
+    assert sim.step() is False
+    assert sim.events_executed == 2
 
 
 def test_max_events_limits_execution():

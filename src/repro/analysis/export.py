@@ -51,7 +51,7 @@ def metrics_snapshot(sim: Simulator) -> Dict[str, Any]:
     """All counters plus summary stats of every histogram."""
     snapshot: Dict[str, Any] = {"counters": sim.metrics.counters()}
     histograms = {}
-    for name, histogram in sorted(sim.metrics._histograms.items()):
+    for name, histogram in sim.metrics.histograms().items():
         if histogram.count == 0:
             continue
         histograms[name] = {

@@ -16,24 +16,51 @@ Five message types implement the whole protocol:
   the parent's INFO set and parent pointer for the child's MAP.
 * :class:`DetachNotice` — tells an old parent that a child has left.
 
-All payloads are :class:`~repro.net.message.TuplePayload` classes: a
-tuple of fields built by one C call at the end of ``__new__``, read
-through C getters, with a class-level ``kind``.  Assigning a field
-raises, and ``_replace`` copies a payload through its constructor.
-INFO sets are shared frozen snapshots: construction calls
-``info.snapshot()``, so every payload built while a host's INFO set is
-unchanged carries the same :class:`~repro.core.seqnoset.FrozenSeqnoSet`,
-and a receiver may keep it without copying — its mutators raise.
+One payload table
+-----------------
+
+Each message is declared once, as a :class:`WireMessage` subclass: a
+frame tag, a name, and its fields in order, each annotated with its
+*kind* (:data:`_KINDS`: a host, an optional host, a sequence number, a
+plain int, float or bool, a size, a uid, the checksum, an INFO set or
+the content).  Everything else is derived from that declaration when
+the class is created, and compiled to straight-line code the way
+``collections.namedtuple`` compiles its ``__new__``:
+
+* the constructor: a field per parameter, in order, with the declared
+  defaults; it snapshots an INFO set, draws a uid when given 0 and
+  computes the checksum when given ``_AUTO``;
+* the checksum canonical: the CRC-32 of the name, then every field
+  except ``size_bits`` and ``checksum`` in declared order, a host
+  folded through ``_HOST_CRC``, an INFO set through its snapshot's
+  cached ``canonical`` and the content through ``_content_crc``;
+* the frame layout: the fixed fields in declared order, then the
+  variable field's two-number header, then its bytes;
+* the decoder's per-kind checks: a float is finite, a sequence number
+  and a uid are at least 1, a bool byte is 0 or 1, and a host index is
+  inside the closed table.  Whatever decodes re-encodes to the frame
+  it came from.
+
+Reordering a declaration therefore moves frame bytes *and* checksums:
+``tests/core/test_wire_golden.py`` pins both.
+
+Payloads are :class:`~repro.net.message.TuplePayload` classes: a tuple
+of fields built by one C call at the end of ``__new__``, read through C
+getters, with a class-level ``kind``.  Assigning a field raises, and
+``_replace`` copies a payload through its constructor.  INFO sets are
+shared frozen snapshots: every payload built while a host's INFO set
+is unchanged carries the same
+:class:`~repro.core.seqnoset.FrozenSeqnoSet`, and a receiver may keep
+it without copying — its mutators raise.
 
 Wire hardening
 --------------
 
 Every payload carries a ``checksum`` over its semantic fields — the
-tuple hash of a fully *numeric* canonical (type tags and host names
-pre-folded through CRC-32; an INFO set contributes its snapshot's
-cached ``canonical``), which is deterministic across processes because
-Python only randomizes str/bytes hashing — computed at construction.  Receivers
-call :func:`checksum_ok` and drop-and-count mismatches, so a corrupted
+tuple hash of the fully *numeric* canonical above, which is
+deterministic across processes because Python only randomizes
+str/bytes hashing — computed at construction.  Receivers call
+:func:`checksum_ok` and drop-and-count mismatches, so a corrupted
 message can garble *one* delivery but never wedge protocol state.
 Control payloads additionally carry a ``uid`` unique per construction;
 link-level duplicates and chaos-injected replays share the original's
@@ -73,10 +100,16 @@ import itertools
 import struct
 import zlib
 from math import isfinite
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from ..net import HostId, RawPayload, TuplePayload
 from .seqnoset import FrozenSeqnoSet, SeqnoSet
+
+if TYPE_CHECKING:
+    from typing import dataclass_transform
+else:  # the runtime needs nothing from it (and Python 3.9 lacks it)
+    def dataclass_transform(**_: Any) -> Callable[[Any], Any]:
+        return lambda cls: cls
 
 #: payload kind tags used for traffic accounting
 KIND_DATA = "data"
@@ -85,19 +118,11 @@ KIND_CONTROL = "control"
 #: sentinel meaning "compute the checksum at construction"
 _AUTO = -1
 
-_uids = itertools.count(1)
+_next_uid = itertools.count(1).__next__
 
 
 def _scrc(s: str) -> int:
     return zlib.crc32(s.encode("utf-8"))
-
-
-#: each payload's type tag, folded once (canonicals stay fully numeric)
-_CRC_DATA = _scrc("data")
-_CRC_INFO = _scrc("info")
-_CRC_ATTACH_REQ = _scrc("attach_req")
-_CRC_ATTACH_ACK = _scrc("attach_ack")
-_CRC_DETACH = _scrc("detach")
 
 
 class _HostCrcs(Dict[Optional[HostId], int]):
@@ -129,7 +154,8 @@ def compute_checksum(canonical: object) -> int:
     through CRC-32 by :func:`_scrc`), for which Python's tuple hash is
     both C-fast and stable across processes — only str/bytes hashing is
     randomized.  This is the per-construction and per-receive hot path,
-    which is why it is not a CRC over a ``repr`` rendering.
+    which is why it is not a CRC over a ``repr`` rendering.  (The
+    constructors inline it.)
     """
     return hash(canonical) & 0xFFFFFFFF
 
@@ -172,164 +198,6 @@ def forged_copy(payload: object, **overrides: object) -> object:
     return payload._replace(**overrides)  # type: ignore[attr-defined]
 
 
-class DataMsg(TuplePayload):
-    """One broadcast data message.
-
-    ``gapfill`` marks redeliveries (sent to fill another host's gap);
-    receivers treat any message numbered at or below their current
-    maximum as gap-filling regardless of the flag — the flag exists for
-    traffic accounting and traces.
-    """
-
-    __slots__ = ()
-
-    seq: int
-    content: object
-    created_at: float
-    origin: HostId
-    gapfill: bool
-    size_bits: int
-    checksum: int
-
-    kind = KIND_DATA
-
-    def __new__(cls, seq: int, content: object, created_at: float,
-                origin: HostId, gapfill: bool = False, size_bits: int = 8_000,
-                checksum: int = _AUTO) -> "DataMsg":
-        if checksum == _AUTO:
-            checksum = compute_checksum(
-                cls._canonical((seq, content, created_at, origin, gapfill)))
-        return tuple.__new__(cls, (seq, content, created_at, origin, gapfill,
-                                size_bits, checksum))
-
-    def _canonical(self: Sequence[Any]) -> tuple:
-        # Positional, so __new__ can run it on its arguments.
-        return (_CRC_DATA, self[0], _content_crc(self[1]), self[2],
-                _HOST_CRC[self[3]], self[4])
-
-
-class InfoMsg(TuplePayload):
-    """Periodic INFO-set and parent-pointer exchange (also a heartbeat).
-
-    ``stamp`` is the sender's clock at send time; ``echo_stamp`` /
-    ``echo_hold`` return the destination's most recent stamp together
-    with how long it was held before being echoed.  The receiver of the
-    echo computes ``rtt = (now - echo_stamp) - echo_hold`` entirely in
-    its own clock — the skew-immune NTP arrangement — which feeds the
-    per-peer estimators of :mod:`repro.core.rtt`.  A negative stamp
-    means "no sample" (e.g. pre-adaptive senders).
-    """
-
-    __slots__ = ()
-
-    sender: HostId
-    info: FrozenSeqnoSet
-    parent: Optional[HostId]
-    size_bits: int
-    stamp: float
-    echo_stamp: float
-    echo_hold: float
-    uid: int
-    checksum: int
-
-    kind = KIND_CONTROL
-
-    def __new__(cls, sender: HostId, info: SeqnoSet, parent: Optional[HostId],
-                size_bits: int = 1_000, stamp: float = -1.0,
-                echo_stamp: float = -1.0, echo_hold: float = 0.0,
-                uid: int = 0, checksum: int = _AUTO) -> "InfoMsg":
-        fields = (sender, info.snapshot(), parent, size_bits, stamp,
-                  echo_stamp, echo_hold, uid or next(_uids))
-        if checksum == _AUTO:
-            checksum = compute_checksum(cls._canonical(fields))
-        return tuple.__new__(cls, fields + (checksum,))
-
-    def _canonical(self: Sequence[Any]) -> tuple:
-        return (_CRC_INFO, _HOST_CRC[self[0]], self[1].canonical,
-                _HOST_CRC[self[2]], self[4], self[5], self[6], self[7])
-
-
-class AttachRequest(TuplePayload):
-    """Child asks to be included in the candidate parent's CHILDREN set."""
-
-    __slots__ = ()
-
-    child: HostId
-    child_info: FrozenSeqnoSet
-    #: monotone per-child counter so stale acks can be recognized
-    attempt: int
-    size_bits: int
-    uid: int
-    checksum: int
-
-    kind = KIND_CONTROL
-
-    def __new__(cls, child: HostId, child_info: SeqnoSet, attempt: int = 0,
-                size_bits: int = 1_000, uid: int = 0,
-                checksum: int = _AUTO) -> "AttachRequest":
-        fields = (child, child_info.snapshot(), attempt, size_bits,
-                  uid or next(_uids))
-        if checksum == _AUTO:
-            checksum = compute_checksum(cls._canonical(fields))
-        return tuple.__new__(cls, fields + (checksum,))
-
-    def _canonical(self: Sequence[Any]) -> tuple:
-        return (_CRC_ATTACH_REQ, _HOST_CRC[self[0]], self[1].canonical,
-                self[2], self[4])
-
-
-class AttachAck(TuplePayload):
-    """Parent confirms the attachment (echoing the request's attempt)."""
-
-    __slots__ = ()
-
-    parent: HostId
-    attempt: int
-    parent_info: FrozenSeqnoSet
-    parent_parent: Optional[HostId]
-    size_bits: int
-    uid: int
-    checksum: int
-
-    kind = KIND_CONTROL
-
-    def __new__(cls, parent: HostId, attempt: int, parent_info: SeqnoSet,
-                parent_parent: Optional[HostId], size_bits: int = 1_000,
-                uid: int = 0, checksum: int = _AUTO) -> "AttachAck":
-        fields = (parent, attempt, parent_info.snapshot(), parent_parent,
-                  size_bits, uid or next(_uids))
-        if checksum == _AUTO:
-            checksum = compute_checksum(cls._canonical(fields))
-        return tuple.__new__(cls, fields + (checksum,))
-
-    def _canonical(self: Sequence[Any]) -> tuple:
-        return (_CRC_ATTACH_ACK, _HOST_CRC[self[0]], self[1],
-                self[2].canonical, _HOST_CRC[self[3]], self[5])
-
-
-class DetachNotice(TuplePayload):
-    """Child tells its former parent to forget it."""
-
-    __slots__ = ()
-
-    child: HostId
-    size_bits: int
-    uid: int
-    checksum: int
-
-    kind = KIND_CONTROL
-
-    def __new__(cls, child: HostId, size_bits: int = 1_000, uid: int = 0,
-                checksum: int = _AUTO) -> "DetachNotice":
-        fields = (child, size_bits, uid or next(_uids))
-        if checksum == _AUTO:
-            checksum = compute_checksum(cls._canonical(fields))
-        return tuple.__new__(cls, fields + (checksum,))
-
-    def _canonical(self: Sequence[Any]) -> tuple:
-        return (_CRC_DETACH, _HOST_CRC[self[0]], self[2])
-
-
 # ----------------------------------------------------------------------
 # Frame codec: the real-socket wire format
 # ----------------------------------------------------------------------
@@ -340,23 +208,17 @@ class DetachNotice(TuplePayload):
 #
 #   header   version u8 | payload tag u8 | host-table fingerprint u32
 #            | sender index u16 | sender's send-time stamp f64
-#   data     seq i64 | created_at f64 | origin u16 | gapfill u8
-#            | size_bits u32 | checksum u32 | content
-#   info     sender u16 | parent u16 | size_bits u32 | stamp f64
-#            | echo_stamp f64 | echo_hold f64 | uid u64 | checksum u32
-#            | seqnos
-#   attach   child u16 | attempt i64 | size_bits u32 | uid u64
-#   request  | checksum u32 | seqnos
-#   attach   parent u16 | attempt i64 | parent_parent u16 | size_bits u32
-#   ack      | uid u64 | checksum u32 | seqnos
-#   detach   child u16 | size_bits u32 | uid u64 | checksum u32
+#
+# A declared message's payload follows the rule in the module
+# docstring: its fixed fields in declared order, then the variable
+# field's header and bytes.  Struct codes per kind are in _KINDS: a host
+# is a u16 index into the HostTable (0xFFFF: "no host"), a seq or int
+# i64, a float f64, a bool u8, a size or checksum u32, a uid u64.
+#
+#   content  tag u8 | length u32 | bytes
+#   seqnos   floor i64 | run count u16 | (lo i64, hi i64) per run
 #   raw      size_bits u32 | kind length u8 | content tag u8
 #            | content length u32 | kind (UTF-8) | content bytes
-#
-#   content  tag u8 | length u32 | bytes (data: both in the fixed part)
-#   seqnos   floor i64 | run count u16 | (lo i64, hi i64) per run
-#
-# Host fields are indices into the HostTable; 0xFFFF is "no host".
 
 #: frame format version; a frame carrying any other is dropped
 WIRE_VERSION = 1
@@ -368,15 +230,17 @@ _HEADER = "!BBIHd"
 _HEADER_SIZE = struct.calcsize(_HEADER)
 _HEADER_S = struct.Struct(_HEADER)
 
-_TAG_DATA, _TAG_INFO, _TAG_ATTACH_REQ, _TAG_ATTACH_ACK, _TAG_DETACH, \
-    _TAG_RAW = range(1, 7)
+_TAG_RAW = 6
 
 #: content tags: the application contents a frame can carry
 _C_NONE, _C_STR, _C_BYTES = range(3)
 
-_SEQNOS_HEAD = struct.Struct("!qH")
 #: per-run-count structs for the common small counts
 _RUN_STRUCTS: Dict[int, struct.Struct] = {}
+
+#: payload class -> (frame tag, encoder); frame tag -> decoder
+_ENCODERS: Dict[type, Tuple[int, Callable[..., bytes]]] = {}
+_DECODERS: Dict[int, Callable[[HostTable, bytes], object]] = {}
 
 
 class FrameError(ValueError):
@@ -402,14 +266,6 @@ class HostTable:
         #: host id (or its plain name) -> index
         self.index: Dict[str, int] = {h: i for i, h in enumerate(self.hosts)}
         self.fingerprint = zlib.crc32("\n".join(self.hosts).encode("utf-8"))
-
-    def optional(self, index: int) -> Optional[HostId]:
-        """The host at ``index``, or None for the "no host" index."""
-        return None if index == _NO_HOST else self.hosts[index]
-
-
-def _optional_index(table: HostTable, host: Optional[HostId]) -> int:
-    return _NO_HOST if host is None else table.index[host]
 
 
 def _pack_content(content: object) -> Tuple[int, bytes]:
@@ -442,153 +298,254 @@ def _runs_struct(count: int) -> struct.Struct:
     return runs
 
 
-def _pack_seqnos(info: SeqnoSet) -> bytes:
+def _pack_seqnos(info: SeqnoSet) -> Tuple[int, int, bytes]:
+    """``(floor, run count, runs)`` of an INFO set: its frame header and tail."""
     floor, los, his = info.runs()
     count = len(los)
     flat = [0] * (2 * count)
     flat[0::2] = los
     flat[1::2] = his
-    return _SEQNOS_HEAD.pack(floor, count) + _runs_struct(count).pack(*flat)
+    return floor, count, _runs_struct(count).pack(*flat)
 
 
-def _unpack_seqnos(frame: bytes, offset: int) -> FrozenSeqnoSet:
-    """The set that ends the frame at ``offset``, built frozen: the
+def _unpack_seqnos(frame: bytes, offset: int, floor: int,
+                   count: int) -> FrozenSeqnoSet:
+    """The set whose runs end the frame at ``offset``, built frozen: the
     payload adopts it as its snapshot."""
-    floor, count = _SEQNOS_HEAD.unpack_from(frame, offset)
-    offset += _SEQNOS_HEAD.size
-    if len(frame) != offset + 16 * count:
-        raise FrameError("frame length does not match its run count")
     flat = _runs_struct(count).unpack_from(frame, offset)
     return FrozenSeqnoSet.from_runs(floor, list(flat[0::2]),
                                     list(flat[1::2]))
 
 
-# -- DataMsg ------------------------------------------------------------
+# ----------------------------------------------------------------------
+# The payload table: field kinds and the code derived from them
+# ----------------------------------------------------------------------
 
-_DATA_BODY = "qdHBIIBI"
-_DATA = struct.Struct(_HEADER + _DATA_BODY)
-_DATA_IN = struct.Struct("!" + _DATA_BODY)
-
-
-def _encode_data(table: HostTable, head: tuple, msg: DataMsg) -> bytes:
-    content = msg.content
-    if type(content) is str:  # the common case, inline
-        tag, blob = _C_STR, content.encode("utf-8")
-    else:
-        tag, blob = _pack_content(content)
-    return _DATA.pack(*head, msg.seq, msg.created_at, table.index[msg.origin],
-                      msg.gapfill, msg.size_bits, msg.checksum, tag,
-                      len(blob)) + blob
+#: the field kinds without a Python type of their own (annotation names)
+Seq = int  # a broadcast sequence number
+Size = int  # the simulated size in bits: outside the checksum
+Uid = int  # unique per construction; 0 draws one
+Checksum = int  # _AUTO computes it
+Seqnos = SeqnoSet  # stored as its frozen snapshot
+Content = object  # None, str or bytes on the wire
 
 
-def _decode_data(table: HostTable, frame: bytes) -> DataMsg:
-    (seq, created_at, origin, gapfill, size_bits, checksum, tag,
-     length) = _DATA_IN.unpack_from(frame, _HEADER_SIZE)
-    start = _HEADER_SIZE + _DATA_IN.size
-    if len(frame) != start + length:
-        raise FrameError("frame length does not match its content length")
-    if seq < 1 or not isfinite(created_at):
-        raise FrameError("non-positive sequence number or non-finite time")
-    blob = frame[start:]
-    content = (blob.decode("utf-8") if tag == _C_STR  # the common case
-               else _unpack_content(tag, blob))
-    # The checksum travels verbatim: the receiver validates it.
-    return DataMsg(seq, content, created_at, table.hosts[origin],
-                   bool(gapfill), size_bits, checksum)
+class _Kind(NamedTuple):
+    """How one field kind is built, checksummed, framed and checked.
+
+    Each string is a code template over the field's name ``{0}``; a
+    decoder template may also use ``{1}``, the offset of the frame's
+    variable tail.  A *variable* kind (non-empty ``tail``) packs a
+    two-number header ``_a, _b`` with the fixed fields: its ``encode``
+    is a statement that sets ``_a``, ``_b`` and ``_tail`` (the bytes
+    that end the frame), and ``tail`` is the byte length ``_b`` implies.
+    A message has at most one variable field.
+    """
+
+    code: str  # struct code(s) in the fixed part of the frame
+    canonical: str = "{0}"  # its term in the checksum canonical ("": none)
+    encode: str = "{0}"  # what is packed
+    decode: str = "{0}"  # the field, from what was unpacked
+    bad: str = ""  # when an unpacked value is malformed ...
+    why: str = ""  # ... and the FrameError's words for it
+    new: str = ""  # a constructor statement
+    tail: str = ""  # the byte length of a variable field's tail
 
 
-# -- InfoMsg ------------------------------------------------------------
+#: field annotation -> its kind
+_KINDS: Dict[str, _Kind] = {
+    "HostId": _Kind("H", "_HOST_CRC[{0}]", "table.index[{0}]", "table.hosts[{0}]"),
+    "Optional[HostId]": _Kind(
+        "H", "_HOST_CRC[{0}]", "_NO_HOST if {0} is None else table.index[{0}]",
+        "None if {0} == _NO_HOST else table.hosts[{0}]"),
+    "Seq": _Kind("q", bad="{0} < 1", why="is not a positive sequence number"),
+    "int": _Kind("q"),
+    "float": _Kind("d", bad="not isfinite({0})", why="is not finite"),
+    "bool": _Kind("B", decode="{0} == 1", bad="{0} > 1", why="is not 0 or 1"),
+    "Size": _Kind("I", canonical=""),
+    "Uid": _Kind("Q", bad="{0} < 1", why="is 0", new="{0} = {0} or _next_uid()"),
+    "Checksum": _Kind("I", canonical=""),
+    "Seqnos": _Kind("qH", "{0}.canonical", "_a, _b, _tail = _pack_seqnos({0})",
+                    "_unpack_seqnos(frame, {1}, _a, _b)", new="{0} = {0}.snapshot()",
+                    tail="16 * _b"),
+    "Content": _Kind("BI", "_content_crc({0})",
+                     "_a, _tail = (_C_STR, {0}.encode()) if type({0}) is str "
+                     "else _pack_content({0}); _b = len(_tail)",
+                     "frame[{1}:].decode() if _a == _C_STR else _unpack_content(_a, frame[{1}:])",
+                     tail="_b"),
+}
 
-_INFO_BODY = "HHIdddQI"
-_INFO = struct.Struct(_HEADER + _INFO_BODY)
-_INFO_IN = struct.Struct("!" + _INFO_BODY)
+_TEMPLATE = """
+def _make(_cls, _frame, _body):
+    def __new__(_cls, {args}):
+        {new}
+        if checksum == _AUTO: checksum = hash(({canonical},)) & 0xFFFFFFFF
+        return _tuple_new(_cls, ({args},))
+    def _canonical(self):
+        {args}, = self
+        return ({canonical},)
+    def encode(table, head, msg):
+        {args}, = msg
+        {prelude}
+        return _frame.pack(*head, {packed}) + _tail
+    def decode(table, frame):
+        {unpacked}, = _body.unpack_from(frame, _HEADER_SIZE)
+        if len(frame) != {length}: raise FrameError("frame length does not match a {cls}")
+        {checks}
+        return _tuple_new(_cls, ({decoded},))
+    return __new__, _canonical, encode, decode
+"""
 
-
-def _encode_info(table: HostTable, head: tuple, msg: InfoMsg) -> bytes:
-    return _INFO.pack(*head, table.index[msg.sender],
-                      _optional_index(table, msg.parent), msg.size_bits,
-                      msg.stamp, msg.echo_stamp, msg.echo_hold, msg.uid,
-                      msg.checksum) + _pack_seqnos(msg.info)
-
-
-def _decode_info(table: HostTable, frame: bytes) -> InfoMsg:
-    (sender, parent, size_bits, stamp, echo_stamp, echo_hold, uid,
-     checksum) = _INFO_IN.unpack_from(frame, _HEADER_SIZE)
-    if not (isfinite(stamp) and isfinite(echo_stamp) and isfinite(echo_hold)):
-        raise FrameError("non-finite time field")
-    return InfoMsg(table.hosts[sender],
-                   _unpack_seqnos(frame, _HEADER_SIZE + _INFO_IN.size),
-                   table.optional(parent), size_bits, stamp, echo_stamp,
-                   echo_hold, uid, checksum)
-
-
-# -- attachment and detach ------------------------------------------------
-
-_REQ_BODY = "HqIQI"
-_REQ = struct.Struct(_HEADER + _REQ_BODY)
-_REQ_IN = struct.Struct("!" + _REQ_BODY)
-
-
-def _encode_request(table: HostTable, head: tuple,
-                    msg: AttachRequest) -> bytes:
-    return _REQ.pack(*head, table.index[msg.child], msg.attempt,
-                     msg.size_bits, msg.uid, msg.checksum) \
-        + _pack_seqnos(msg.child_info)
-
-
-def _decode_request(table: HostTable, frame: bytes) -> AttachRequest:
-    child, attempt, size_bits, uid, checksum = _REQ_IN.unpack_from(
-        frame, _HEADER_SIZE)
-    return AttachRequest(
-        table.hosts[child], _unpack_seqnos(frame, _HEADER_SIZE + _REQ_IN.size),
-        attempt, size_bits, uid, checksum)
-
-
-_ACK_BODY = "HqHIQI"
-_ACK = struct.Struct(_HEADER + _ACK_BODY)
-_ACK_IN = struct.Struct("!" + _ACK_BODY)
+_tuple_new = tuple.__new__
+_LINE = "\n        "  # between statements of a _TEMPLATE body
 
 
-def _encode_ack(table: HostTable, head: tuple, msg: AttachAck) -> bytes:
-    return _ACK.pack(*head, table.index[msg.parent], msg.attempt,
-                     _optional_index(table, msg.parent_parent),
-                     msg.size_bits, msg.uid, msg.checksum) \
-        + _pack_seqnos(msg.parent_info)
+@dataclass_transform(frozen_default=True)
+class WireMessage(TuplePayload):
+    """Base of the five protocol messages: see "One payload table".
+
+    ``class M(WireMessage, tag=..., name=...)`` declares a message: its
+    annotated fields, with their defaults, are the whole declaration,
+    and one of them is ``checksum: Checksum = _AUTO``.  Creating the
+    class compiles its ``__new__``, ``_canonical``, encoder and decoder
+    from its fields' kinds.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, tag: int, name: str, **kwargs: Any) -> None:
+        # Read the defaults before TuplePayload turns each field into its getter.
+        defaults = tuple(vars(cls)[field] for field in cls.__annotations__ if field in vars(cls))
+        super().__init_subclass__(**kwargs)
+        declared = [(field, _KINDS[cls.__annotations__[field]]) for field in cls._fields]
+        fixed = [(field, kind) for field, kind in declared if not kind.tail]
+        variable = [(field, kind) for field, kind in declared if kind.tail]
+        header = ["_a", "_b"] if variable else []
+        body = "".join(kind.code for _, kind in fixed + variable)
+        end = _HEADER_SIZE + struct.calcsize("!" + body)
+        source = _TEMPLATE.format(
+            cls=cls.__name__, args=", ".join(cls._fields),
+            new=_LINE.join(kind.new.format(field) for field, kind in declared if kind.new),
+            canonical=", ".join([str(_scrc(name))] + [
+                kind.canonical.format(field) for field, kind in declared if kind.canonical]),
+            prelude="".join(kind.encode.format(field) for field, kind in variable) or "_tail = b''",
+            packed=", ".join([kind.encode.format(field) for field, kind in fixed] + header),
+            unpacked=", ".join([field for field, _ in fixed] + header),
+            length=" + ".join([str(end)] + [kind.tail for _, kind in variable]),
+            checks=_LINE.join(f"if {kind.bad.format(field)}: raise FrameError("
+                              f"'{cls.__name__}.{field} {kind.why}')"
+                              for field, kind in fixed if kind.bad),
+            decoded=", ".join(kind.decode.format(field, end) for field, kind in declared))
+        namespace: Dict[str, Any] = {}
+        # Compiled under this module's file name: profilers charge the
+        # generated code to the wire layer, as they did the hand-written.
+        exec(compile(source, __file__, "exec"), globals(), namespace)
+        new, canonical, encode, _DECODERS[tag] = namespace["_make"](
+            cls, struct.Struct(_HEADER + body), struct.Struct("!" + body))
+        new.__defaults__ = defaults
+        setattr(cls, "__new__", staticmethod(new))
+        setattr(cls, "_canonical", canonical)
+        _ENCODERS[cls] = (tag, encode)
 
 
-def _decode_ack(table: HostTable, frame: bytes) -> AttachAck:
-    (parent, attempt, parent_parent, size_bits, uid,
-     checksum) = _ACK_IN.unpack_from(frame, _HEADER_SIZE)
-    return AttachAck(
-        table.hosts[parent], attempt,
-        _unpack_seqnos(frame, _HEADER_SIZE + _ACK_IN.size),
-        table.optional(parent_parent), size_bits, uid, checksum)
+class DataMsg(WireMessage, tag=1, name="data"):
+    """One broadcast data message.
+
+    ``gapfill`` marks redeliveries (sent to fill another host's gap);
+    receivers treat any message numbered at or below their current
+    maximum as gap-filling regardless of the flag — the flag exists for
+    traffic accounting and traces.
+    """
+
+    __slots__ = ()
+
+    seq: Seq
+    content: Content
+    created_at: float
+    origin: HostId
+    gapfill: bool = False
+    size_bits: Size = 8_000
+    checksum: Checksum = _AUTO
+
+    kind = KIND_DATA
 
 
-_DETACH_BODY = "HIQI"
-_DETACH = struct.Struct(_HEADER + _DETACH_BODY)
-_DETACH_IN = struct.Struct("!" + _DETACH_BODY)
+class InfoMsg(WireMessage, tag=2, name="info"):
+    """Periodic INFO-set and parent-pointer exchange (also a heartbeat).
+
+    ``stamp`` is the sender's clock at send time; ``echo_stamp`` /
+    ``echo_hold`` return the destination's most recent stamp together
+    with how long it was held before being echoed.  The receiver of the
+    echo computes ``rtt = (now - echo_stamp) - echo_hold`` entirely in
+    its own clock — the skew-immune NTP arrangement — which feeds the
+    per-peer estimators of :mod:`repro.core.rtt`.  A negative stamp
+    means "no sample" (e.g. pre-adaptive senders).
+    """
+
+    __slots__ = ()
+
+    sender: HostId
+    info: Seqnos
+    parent: Optional[HostId]
+    size_bits: Size = 1_000
+    stamp: float = -1.0
+    echo_stamp: float = -1.0
+    echo_hold: float = 0.0
+    uid: Uid = 0
+    checksum: Checksum = _AUTO
+
+    kind = KIND_CONTROL
 
 
-def _encode_detach(table: HostTable, head: tuple,
-                   msg: DetachNotice) -> bytes:
-    return _DETACH.pack(*head, table.index[msg.child], msg.size_bits,
-                        msg.uid, msg.checksum)
+class AttachRequest(WireMessage, tag=3, name="attach_req"):
+    """Child asks to be included in the candidate parent's CHILDREN set."""
+
+    __slots__ = ()
+
+    child: HostId
+    child_info: Seqnos
+    #: monotone per-child counter so stale acks can be recognized
+    attempt: int = 0
+    size_bits: Size = 1_000
+    uid: Uid = 0
+    checksum: Checksum = _AUTO
+
+    kind = KIND_CONTROL
 
 
-def _decode_detach(table: HostTable, frame: bytes) -> DetachNotice:
-    if len(frame) != _DETACH.size:
-        raise FrameError("frame length does not match a detach notice")
-    child, size_bits, uid, checksum = _DETACH_IN.unpack_from(
-        frame, _HEADER_SIZE)
-    return DetachNotice(table.hosts[child], size_bits, uid, checksum)
+class AttachAck(WireMessage, tag=4, name="attach_ack"):
+    """Parent confirms the attachment (echoing the request's attempt)."""
+
+    __slots__ = ()
+
+    parent: HostId
+    attempt: int
+    parent_info: Seqnos
+    parent_parent: Optional[HostId]
+    size_bits: Size = 1_000
+    uid: Uid = 0
+    checksum: Checksum = _AUTO
+
+    kind = KIND_CONTROL
+
+
+class DetachNotice(WireMessage, tag=5, name="detach"):
+    """Child tells its former parent to forget it."""
+
+    __slots__ = ()
+
+    child: HostId
+    size_bits: Size = 1_000
+    uid: Uid = 0
+    checksum: Checksum = _AUTO
+
+    kind = KIND_CONTROL
 
 
 # -- RawPayload (tests and low-level benchmarks) ----------------------------
 
-_RAW_BODY = "IBBI"
-_RAW = struct.Struct(_HEADER + _RAW_BODY)
-_RAW_IN = struct.Struct("!" + _RAW_BODY)
+_RAW = struct.Struct(_HEADER + "IBBI")
+_RAW_IN = struct.Struct("!IBBI")
 
 
 def _encode_raw(table: HostTable, head: tuple, raw: RawPayload) -> bytes:
@@ -610,23 +567,8 @@ def _decode_raw(table: HostTable, frame: bytes) -> RawPayload:
                       size_bits=size_bits)
 
 
-_ENCODERS: Dict[type, Tuple[int, Callable[..., bytes]]] = {
-    DataMsg: (_TAG_DATA, _encode_data),
-    InfoMsg: (_TAG_INFO, _encode_info),
-    AttachRequest: (_TAG_ATTACH_REQ, _encode_request),
-    AttachAck: (_TAG_ATTACH_ACK, _encode_ack),
-    DetachNotice: (_TAG_DETACH, _encode_detach),
-    RawPayload: (_TAG_RAW, _encode_raw),
-}
-
-_DECODERS: Dict[int, Callable[[HostTable, bytes], object]] = {
-    _TAG_DATA: _decode_data,
-    _TAG_INFO: _decode_info,
-    _TAG_ATTACH_REQ: _decode_request,
-    _TAG_ATTACH_ACK: _decode_ack,
-    _TAG_DETACH: _decode_detach,
-    _TAG_RAW: _decode_raw,
-}
+_ENCODERS[RawPayload] = (_TAG_RAW, _encode_raw)
+_DECODERS[_TAG_RAW] = _decode_raw
 
 
 def encode_frame(table: HostTable, src: HostId, stamped_at: float,
@@ -658,8 +600,9 @@ def decode_frame(table: HostTable,
     Raises :class:`FrameError` — and nothing else — for a datagram that
     is not exactly one well-formed frame built against ``table``:
     truncated, trailing bytes, another version or table, an unknown tag
-    or host index, a malformed INFO set, a non-finite time or a
-    non-positive sequence number.
+    or host index, a malformed INFO set, a non-finite time, a
+    non-positive sequence number, a zero uid or a bool byte other than
+    0 or 1.
     """
     try:
         version, tag, fingerprint, src, stamped_at = _HEADER_S.unpack_from(

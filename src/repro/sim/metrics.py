@@ -175,3 +175,11 @@ class MetricsRegistry:
             for name, counter in sorted(self._counters.items())
             if name.startswith(prefix)
         }
+
+    def histograms(self, prefix: str = "") -> Dict[str, Histogram]:
+        """The histograms whose name starts with ``prefix``, by name."""
+        return {
+            name: histogram
+            for name, histogram in sorted(self._histograms.items())
+            if name.startswith(prefix)
+        }

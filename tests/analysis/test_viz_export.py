@@ -107,6 +107,20 @@ class TestExport:
         assert "proto.delay" in snapshot["histograms"]
         assert snapshot["histograms"]["proto.delay"]["count"] > 0
 
+    def test_histograms_by_prefix_in_name_order(self):
+        sim = Simulator(seed=0)
+        sim.metrics.histogram("b.delay").observe(2.0)
+        sim.metrics.histogram("a.delay").observe(1.0)
+        sim.metrics.histogram("a.empty")
+        everything = sim.metrics.histograms()
+        assert list(everything) == ["a.delay", "a.empty", "b.delay"]
+        assert everything["b.delay"] is sim.metrics.histogram("b.delay")
+        assert list(sim.metrics.histograms("a.")) == ["a.delay", "a.empty"]
+        # The snapshot reads them through the public call and skips
+        # histograms that never saw a sample.
+        assert list(metrics_snapshot(sim)["histograms"]) == ["a.delay",
+                                                             "b.delay"]
+
     def test_metrics_to_json(self, tmp_path):
         sim, _, _ = converged_system()
         path = tmp_path / "metrics.json"

@@ -188,6 +188,28 @@ class TestDecodeRejects:
         with pytest.raises(FrameError, match="sequence number"):
             decode_frame(TABLE, frame[:16] + zero + frame[24:])
 
+    def test_a_bool_byte_other_than_0_or_1(self):
+        # Only 0 and 1 re-encode to the same frame.
+        frame = encode_frame(TABLE, A, 0.0, DataMsg(1, None, 0.0, A))
+        gapfill = 16 + struct.calcsize("!qdH")  # after seq, created_at, origin
+        assert frame[gapfill] == 0
+        with pytest.raises(FrameError, match="gapfill"):
+            decode_frame(TABLE, frame[:gapfill] + b"\x02" + frame[gapfill + 1:])
+
+    @pytest.mark.parametrize("payload", [
+        InfoMsg(A, SeqnoSet([1]), B, uid=0x5EED),
+        AttachRequest(A, SeqnoSet(), uid=0x5EED),
+        AttachAck(B, 2, SeqnoSet(), None, uid=0x5EED),
+        DetachNotice(C, uid=0x5EED),
+    ], ids=lambda payload: type(payload).__name__)
+    def test_a_zero_uid(self, payload):
+        # A uid of 0 would make the receiver draw one of its own.
+        frame = encode_frame(TABLE, A, 0.0, payload)
+        uid = struct.pack("!Q", 0x5EED)
+        assert frame.count(uid) == 1
+        with pytest.raises(FrameError, match="uid"):
+            decode_frame(TABLE, frame.replace(uid, bytes(8)))
+
     def test_an_info_set_that_breaks_the_run_invariant(self):
         msg = InfoMsg(A, SeqnoSet([2, 3, 7]), None)
         frame = encode_frame(TABLE, A, 0.0, msg)
@@ -215,11 +237,13 @@ def test_bit_flipped_frames_decode_or_raise_frame_error(index, data):
             min_size=1, max_size=4)):
         frame[bit // 8] ^= 1 << (bit % 8)
     try:
-        _, _, payload = decode_frame(TABLE, bytes(frame))
+        src, stamped_at, payload = decode_frame(TABLE, bytes(frame))
     except FrameError:
         return
-    # Whatever decodes is a payload the protocol can hold.
+    # Whatever decodes is a payload the protocol can hold, and the one
+    # encoding of it: the frame is canonical.
     assert type(payload) in {type(p) for p in _sample_payloads()}
+    assert encode_frame(TABLE, src, stamped_at, payload) == bytes(frame)
 
 
 seqnos = st.integers(min_value=1, max_value=10 ** 12)

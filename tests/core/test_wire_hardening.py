@@ -1,5 +1,7 @@
 """Unit tests for wire hardening: checksums, uids, corruption helpers."""
 
+import pytest
+
 from repro.core import (
     AttachAck,
     AttachRequest,
@@ -63,10 +65,42 @@ def test_checksum_ok_forgives_payloads_without_checksums():
     assert corrupted_copy(Legacy()) is None
 
 
-def test_tampered_field_fails_validation():
-    msg = DataMsg(3, "payload", 0.0, H)
-    forged = msg._replace(seq=4)  # keeps the old checksum
-    assert not checksum_ok(forged)
+def _changed(value):
+    """Another value of the same field kind."""
+    if isinstance(value, SeqnoSet):
+        return SeqnoSet([9])
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, HostId):  # before str: a host id is one
+        return HostId("q")
+    if isinstance(value, str):
+        return value + "!"
+    if value is None:  # an absent parent pointer
+        return H
+    return value + 1
+
+
+def _tampered_cases():
+    payloads = [
+        DataMsg(3, "payload", 0.5, H),
+        InfoMsg(H, SeqnoSet([1, 2]), None, stamp=1.0, echo_stamp=0.5),
+        AttachRequest(H, SeqnoSet([1]), attempt=2),
+        AttachAck(H, 1, SeqnoSet(), HostId("p")),
+        DetachNotice(H),
+    ]
+    return [pytest.param(payload, field, id=f"{type(payload).__name__}.{field}")
+            for payload in payloads for field in payload._fields
+            if field != "checksum"]
+
+
+@pytest.mark.parametrize("payload, field", _tampered_cases())
+def test_tampered_fields_fail_validation(payload, field):
+    """The checksum covers every field but ``size_bits`` (and itself)."""
+    value = getattr(payload, field)
+    forged = payload._replace(**{field: _changed(value)})  # keeps the checksum
+    assert getattr(forged, field) != value
+    assert forged.checksum == payload.checksum
+    assert checksum_ok(forged) == (field == "size_bits")
 
 
 def test_control_uids_are_unique_per_construction():

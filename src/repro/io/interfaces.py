@@ -171,8 +171,13 @@ class Runtime(Protocol):
     @property
     def trace_sink(self) -> Any:
         """The tracer behind ``trace`` — the *read* side of the trace
-        stream (``records(kind=...)``), consumed by oracles such as
-        :class:`repro.verify.monitor.InvariantMonitor`."""
+        stream: ``subscribe(prefix, fn)`` / ``unsubscribe(fn)`` for
+        records as they are emitted (whether or not the tracer retains
+        them), and ``records(kind=...)`` for what it has retained.
+        Online oracles such as
+        :class:`repro.verify.monitor.InvariantMonitor` subscribe;
+        ``records()`` walks the whole retained trace, so nothing
+        periodic should call it."""
         ...
 
     def counter(self, name: str) -> CounterLike:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..sim import Counter, Event, Simulator
 from .addressing import LinkId
@@ -137,6 +137,8 @@ class Link:
         # on the kind's first transmission so an idle link registers
         # nothing; see DESIGN.md §8 "One hop".
         self._tx_counters: Dict[str, Tuple[Counter, ...]] = {}
+        # (net.drop.overflow, net.drop.overflow.link.<id>), on first overflow
+        self._overflow_counters: Optional[Tuple[Counter, Counter]] = None
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -206,13 +208,16 @@ class Link:
             raise ValueError(f"{from_node} is not an endpoint of {self.link_id}")
         sim = self.sim
         if not self.up:
-            sim.trace.emit("link.drop_down", str(self.link_id), packet=packet.packet_id)
+            if sim.trace.active:
+                sim.trace.emit("link.drop_down", str(self.link_id),
+                               packet=packet.packet_id)
             sim.metrics.counter("net.drop.down").inc()
             return
         spec = self.spec
         if spec.loss_prob > 0 and self._rng.random() < spec.loss_prob:
-            sim.trace.emit("link.drop_loss", str(self.link_id), packet=packet.packet_id,
-                           payload_kind=packet.kind)
+            if sim.trace.active:
+                sim.trace.emit("link.drop_loss", str(self.link_id),
+                               packet=packet.packet_id, payload_kind=packet.kind)
             sim.metrics.counter("net.drop.loss").inc()
             return
         if direction.outstanding >= spec.queue_limit:
@@ -220,11 +225,18 @@ class Link:
             # Overflow is attributed per link *and* per direction so
             # saturation experiments can point at the guilty trunk.
             direction.overflows += 1
-            sim.trace.emit("link.drop_overflow", str(self.link_id),
-                           packet=packet.packet_id, payload_kind=packet.kind,
-                           from_node=from_node)
-            sim.metrics.counter("net.drop.overflow").inc()
-            sim.metrics.counter(f"net.drop.overflow.link.{self.link_id}").inc()
+            if sim.trace.active:
+                sim.trace.emit("link.drop_overflow", str(self.link_id),
+                               packet=packet.packet_id, payload_kind=packet.kind,
+                               from_node=from_node)
+            overflow = self._overflow_counters
+            if overflow is None:
+                metrics = sim.metrics
+                overflow = self._overflow_counters = (
+                    metrics.counter("net.drop.overflow"),
+                    metrics.counter(f"net.drop.overflow.link.{self.link_id}"))
+            for counter in overflow:
+                counter.value += 1.0
             return
 
         expensive = spec.klass is _EXPENSIVE

@@ -21,7 +21,8 @@ Fast-path contract (see DESIGN.md "Tracer fast path"):
 * hot emit sites may additionally guard with the plain ``active``
   attribute (``if sim.trace.active: sim.trace.emit(...)``) to also skip
   building the keyword-argument dict.  ``active`` is maintained by the
-  tracer; treat it as read-only.
+  tracer (``enabled``, :meth:`Tracer.subscribe` and
+  :meth:`Tracer.unsubscribe`); treat it as read-only.
 
 For long chaos runs, :meth:`Tracer.retain_last` bounds retention to a
 ring buffer of the most recent N records instead of disabling tracing
@@ -166,6 +167,21 @@ class Tracer:
         """Call ``subscriber`` for every record whose kind starts with ``prefix``."""
         self._subscribers.append((prefix, subscriber))
         self.active = True
+
+    def unsubscribe(self, subscriber: Subscriber) -> None:
+        """Stop calling ``subscriber``, under every prefix it subscribed to.
+
+        A subscriber that is not registered is ignored.  The last one to
+        leave returns ``active`` to ``enabled``, so a disabled tracer is
+        back on its zero-allocation fast path.
+        """
+        # Rebind rather than mutate: an emit may be iterating the list.
+        self._subscribers = [
+            (prefix, registered)
+            for prefix, registered in self._subscribers
+            if registered != subscriber
+        ]
+        self.active = self._enabled or bool(self._subscribers)
 
     # -- querying -------------------------------------------------------
 

@@ -11,13 +11,17 @@ embedded maxima change every tick), and tracks how long each one has
 been continuously present.  A violation is **stable** once its streak
 reaches ``stable_window``; everything shorter is transient.
 
-The monitor also watches ``host.recovery_delivery`` trace events so a
-chaos run's report carries per-host recovery times (crash → first
-post-recovery delivery) without re-scanning the trace.
+The monitor also subscribes to ``host.recovery_delivery`` trace events
+so a chaos run's report carries per-host recovery times (crash → first
+post-recovery delivery) without re-scanning the trace: it reads the
+retained records once when built and takes each later one as it is
+emitted, so a sample costs the same late in a run as early (DESIGN.md
+§8).  Subscribers fire whether or not the tracer retains records;
+:meth:`InvariantMonitor.stop` unsubscribes.
 
 Backend-agnostic since the sans-IO port: the monitor speaks the
 :class:`~repro.io.interfaces.Runtime` contract (``start_periodic`` /
-``now`` / ``trace`` plus the ``trace_sink`` record stream both backends
+``now`` / ``trace`` plus the ``trace_sink`` tracer both backends
 expose), so the same oracle samples a simulated
 :class:`~repro.core.engine.BroadcastSystem` and a live
 :class:`~repro.io.node.UdpBroadcastSystem` — on the latter, sampling
@@ -36,7 +40,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from ..io.interfaces import Runtime
+from ..sim.trace import TraceRecord
 from .invariants import find_parent_cycles
+
+#: the trace kind whose records carry a host's recovery time
+_RECOVERY = "host.recovery_delivery"
 
 #: structural violation key: ("harmful_cycle", h1, h2, ...) or
 #: ("info_dominance", child, parent)
@@ -117,8 +125,11 @@ class InvariantMonitor:
         self._active: Dict[ViolationKey, float] = {}
         #: closed streaks
         self._spans: List[ViolationSpan] = []
-        self._recoveries: List[Tuple[str, float]] = []
-        self._trace_cursor = 0
+        sink = self.runtime.trace_sink
+        self._recoveries: List[Tuple[str, float]] = [
+            (record.source, record.fields["elapsed"])
+            for record in sink.records(kind=_RECOVERY)]
+        sink.subscribe(_RECOVERY, self._on_recovery)
         self._task = self.runtime.start_periodic(
             sample_period, self._sample,
             rng_stream="verify.monitor", name="invariant_monitor")
@@ -129,7 +140,7 @@ class InvariantMonitor:
         return self
 
     def stop(self) -> None:
-        """Stop periodic activity; safe to call more than once.
+        """Stop sampling and collecting recoveries; safe to call more than once.
 
         Streaks still open when the monitor stops are closed as explicit
         ``unresolved_at_end`` spans rather than silently dropped — a
@@ -138,6 +149,7 @@ class InvariantMonitor:
         just because no later sample saw it disappear.
         """
         self._task.stop()
+        self.runtime.trace_sink.unsubscribe(self._on_recovery)
         now = self.runtime.now()
         for key in list(self._active):
             first = self._active.pop(key)
@@ -198,7 +210,6 @@ class InvariantMonitor:
                                    key="/".join(key))
         for key in [k for k in self._active if k not in current]:
             self._close(key, ended=now)
-        self._drain_recoveries()
 
     def _close(self, key: ViolationKey, ended: float) -> None:
         first = self._active.pop(key)
@@ -209,19 +220,13 @@ class InvariantMonitor:
             key=key, first_seen=first, last_seen=last,
             stable=(last - first) >= self.stable_window))
 
-    def _drain_recoveries(self) -> None:
-        records = self.runtime.trace_sink.records(
-            kind="host.recovery_delivery")
-        for record in records[self._trace_cursor:]:
-            self._recoveries.append(
-                (record.source, record.fields["elapsed"]))
-        self._trace_cursor = len(records)
+    def _on_recovery(self, record: TraceRecord) -> None:
+        self._recoveries.append((record.source, record.fields["elapsed"]))
 
     # ------------------------------------------------------------------
 
     def report(self) -> MonitorReport:
         """Close open streaks against the current clock and report."""
-        self._drain_recoveries()
         now = self.runtime.now()
         spans = list(self._spans)
         for key, first in self._active.items():

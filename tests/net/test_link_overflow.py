@@ -70,6 +70,17 @@ class TestPerDirectionAccounting:
         assert records
         assert all(r.fields["from_node"] == "a" for r in records)
 
+    def test_overflow_counted_with_the_tracer_off(self):
+        sim, network, link = build_link_pair(queue_limit=4)
+        sim.trace.enabled = False
+        sim.schedule_at(1.0, lambda: flood(sim, network, 20))
+        sim.run(until=30.0)
+        per_link = sim.metrics.counter(
+            f"net.drop.overflow.link.{link.link_id}").value
+        assert per_link == link.overflow_count("a") > 0
+        assert sim.metrics.counter("net.drop.overflow").value >= per_link
+        assert len(sim.trace) == 0
+
     def test_no_overflow_without_pressure(self):
         sim, network, link = build_link_pair(queue_limit=4)
         sim.schedule_at(1.0, lambda: flood(sim, network, 2))

@@ -102,6 +102,65 @@ def test_enabled_tracer_still_notifies_subscribers():
     assert len(sim.trace) == 2
 
 
+def test_unsubscribe_returns_active_to_enabled():
+    """When the last subscriber leaves, a disabled tracer is inactive
+    again and its emit builds nothing."""
+    sim = Simulator(seed=0)
+    sim.trace.enabled = False
+    first, second = CountingSubscriber(), CountingSubscriber()
+    sim.trace.subscribe("proto.", first)
+    sim.trace.subscribe("proto.deliver", second)
+    sim.trace.unsubscribe(first)
+    assert sim.trace.active  # one subscriber is left
+    sim.trace.emit("proto.deliver", "h0", seq=1)
+    assert (first.calls, second.calls) == (0, 1)
+    sim.trace.unsubscribe(second)
+    assert not sim.trace.active
+
+    built = []
+    original_init = TraceRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original_init(self, *args, **kwargs)
+
+    TraceRecord.__init__ = counting_init
+    try:
+        for i in range(50):
+            sim.trace.emit("proto.deliver", "h0", seq=i)
+    finally:
+        TraceRecord.__init__ = original_init
+    assert built == []
+    assert (first.calls, second.calls) == (0, 1)
+    assert len(sim.trace) == 0
+
+
+def test_unsubscribe_keeps_an_enabled_tracer_active():
+    sim = Simulator(seed=0)
+    sub = CountingSubscriber()
+    sim.trace.subscribe("proto.", sub)
+    sim.trace.unsubscribe(sub)
+    sim.trace.unsubscribe(sub)  # not registered any more: ignored
+    assert sim.trace.active
+    sim.trace.emit("proto.deliver", "h0", seq=1)
+    assert sub.calls == 0
+    assert len(sim.trace) == 1
+
+
+def test_subscriber_may_unsubscribe_while_called():
+    sim = Simulator(seed=0)
+    later = CountingSubscriber()
+
+    def once(record):
+        sim.trace.unsubscribe(once)
+
+    sim.trace.subscribe("proto.", once)
+    sim.trace.subscribe("proto.", later)
+    sim.trace.emit("proto.deliver", "h0", seq=1)
+    sim.trace.emit("proto.deliver", "h0", seq=2)
+    assert later.calls == 2  # the list under iteration was not mutated
+
+
 def test_ring_buffer_bounds_retention():
     sim = Simulator(seed=0)
     tracer = Tracer(sim, retain_last=10)

@@ -83,6 +83,71 @@ def test_monitor_collects_recovery_times():
     assert report.clean
 
 
+def test_monitor_keeps_recoveries_the_ring_buffer_evicted():
+    """Recoveries are collected as they are emitted, so evicting an
+    already-collected record from a bounded trace loses nothing."""
+    sim, built, system = build_system()
+    sim.trace.retain_last(3)
+    monitor = InvariantMonitor(system, sample_period=1.0).start()
+    sim.trace.emit("host.recovery_delivery", "h0.1", elapsed=2.0)
+    sim.run(until=1.5)
+    sim.trace.emit("host.recovery_delivery", "h1.0", elapsed=3.0)
+    sim.trace.emit("filler.one", "x")
+    sim.trace.emit("filler.two", "x")
+    sim.run(until=2.5)
+    assert monitor.report().recoveries == (("h0.1", 2.0), ("h1.0", 3.0))
+
+
+def test_monitor_reads_recoveries_retained_before_it_was_built():
+    sim, built, system = build_system()
+    sim.trace.emit("host.recovery_delivery", "h0.1", elapsed=2.0)
+    monitor = InvariantMonitor(system, sample_period=1.0).start()
+    sim.trace.emit("host.recovery_delivery", "h1.0", elapsed=3.0)
+    assert monitor.report().recoveries == (("h0.1", 2.0), ("h1.0", 3.0))
+
+
+def test_monitor_sampling_never_scans_the_trace(monkeypatch):
+    """A sample's cost must not grow with the retained trace: once the
+    monitor is built, neither sampling nor reporting reads records."""
+    from repro.sim import Tracer
+
+    sim, built, system = build_system()
+    monitor = InvariantMonitor(system, sample_period=1.0).start()
+
+    def scan(*args, **kwargs):
+        raise AssertionError("the monitor scanned the trace")
+
+    monkeypatch.setattr(Tracer, "records", scan)
+    sim.trace.emit("host.recovery_delivery", "h0.1", elapsed=2.0)
+    sim.run(until=50.5)
+    monitor.stop()
+    report = monitor.report()
+    assert report.samples == 50
+    assert report.recoveries == (("h0.1", 2.0),)
+
+
+def test_monitor_reports_recoveries_on_a_disabled_tracer():
+    sim, built, system = build_system()
+    sim.trace.enabled = False
+    monitor = InvariantMonitor(system, sample_period=1.0).start()
+    sim.trace.emit("host.recovery_delivery", "h0.1", elapsed=2.0)
+    sim.run(until=1.5)
+    assert len(sim.trace) == 0  # nothing retained...
+    assert monitor.report().recoveries == (("h0.1", 2.0),)  # ...yet seen
+
+
+def test_monitor_stop_stops_collecting_recoveries():
+    sim, built, system = build_system()
+    sim.trace.enabled = False
+    monitor = InvariantMonitor(system, sample_period=1.0).start()
+    sim.trace.emit("host.recovery_delivery", "h0.1", elapsed=2.0)
+    monitor.stop()
+    assert not sim.trace.active  # the disabled tracer is inactive again
+    sim.trace.enabled = True
+    sim.trace.emit("host.recovery_delivery", "h1.0", elapsed=3.0)
+    assert monitor.report().recoveries == (("h0.1", 2.0),)
+
+
 def test_monitor_stop_closes_open_streak_as_unresolved():
     sim, built, system = build_system()
     child, parent = system.hosts[HostId("h0.1")], system.hosts[HostId("h0.0")]

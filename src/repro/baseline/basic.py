@@ -152,17 +152,19 @@ class BasicSource(BaselineHostBase):
 
     def broadcast(self, content: object = None) -> int:
         """Send one new message: a separately addressed copy per host."""
+        runtime = self.runtime
+        now = runtime.now()  # one read: the record's delay is exactly 0
         seq = self._next_seq
         self._next_seq += 1
-        msg = DataMsg(seq=seq, content=content, created_at=self.runtime.now(),
-                      origin=self.me, size_bits=self.config.data_size_bits)
+        msg = DataMsg(seq, content, now, self.me, False,
+                      self.config.data_size_bits)
         self.store[seq] = msg
         self.deliveries.record(DeliveryRecord(
-            seq=seq, content=content, created_at=self.runtime.now(),
-            delivered_at=self.runtime.now(), supplier=self.me, via_gapfill=False))
-        self.runtime.trace("source.broadcast", str(self.me), seq=seq,
-                            while_crashed=self.crashed)
-        self.runtime.counter("proto.source.broadcasts").inc()
+            seq, content, now, now, self.me, False))
+        if runtime.trace_sink.active:
+            runtime.trace("source.broadcast", str(self.me), seq=seq,
+                          while_crashed=self.crashed)
+        runtime.counter("proto.source.broadcasts").inc()
         for host in self.receivers:
             if not self.crashed:
                 self.port.send(host, msg)

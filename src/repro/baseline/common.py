@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 from ..core.delivery import DeliverCallback, DeliveryLog, DeliveryRecord
 from ..core.wire import DataMsg
-from ..io.interfaces import Runtime, Transport
+from ..io.interfaces import CounterLike, HistogramLike, Runtime, Transport
 from ..net import HostId
 
 
@@ -35,6 +35,9 @@ class BaselineHostBase:
         self._awaiting_recovery_delivery = False
         #: monotone stable-storage flush point; survives crashes
         self._flushed_prefix = 0
+        #: delivery metric handles, bound on the first delivery
+        self._c_deliver: Optional[CounterLike] = None
+        self._h_delay: Optional[HistogramLike] = None
 
     def start(self) -> "BaselineHostBase":
         """Start periodic activity (none here); returns self."""
@@ -45,25 +48,30 @@ class BaselineHostBase:
 
     def accept_data(self, msg: DataMsg, supplier: HostId) -> bool:
         """Record a data message; returns False for duplicates."""
-        if msg.seq in self.deliveries:
-            self.runtime.counter("proto.data.discard.duplicate").inc()
+        runtime = self.runtime
+        seq = msg.seq
+        if seq in self.deliveries:
+            runtime.counter("proto.data.discard.duplicate").inc()
             return False
-        self.store[msg.seq] = msg
+        self.store[seq] = msg
+        now = runtime.now()
         self.deliveries.record(DeliveryRecord(
-            seq=msg.seq, content=msg.content, created_at=msg.created_at,
-            delivered_at=self.runtime.now(), supplier=supplier,
-            via_gapfill=msg.gapfill))
-        self.runtime.trace("host.deliver", str(self.me), seq=msg.seq,
-                            sender=str(supplier), gapfill=msg.gapfill)
-        self.runtime.counter("proto.deliver").inc()
-        self.runtime.histogram("proto.delay").observe(
-            self.runtime.now() - msg.created_at)
+            seq, msg.content, msg.created_at, now, supplier, msg.gapfill))
+        if runtime.trace_sink.active:
+            runtime.trace("host.deliver", str(self.me), seq=seq,
+                          sender=str(supplier), gapfill=msg.gapfill)
+        deliver, delay = self._c_deliver, self._h_delay
+        if deliver is None or delay is None:
+            deliver = self._c_deliver = runtime.counter("proto.deliver")
+            delay = self._h_delay = runtime.histogram("proto.delay")
+        deliver.value += 1.0
+        delay.observe(now - msg.created_at)
         if self._awaiting_recovery_delivery:
             self._awaiting_recovery_delivery = False
-            elapsed = self.runtime.now() - (self._crashed_at or 0.0)
-            self.runtime.histogram("proto.host.recovery_time").observe(elapsed)
-            self.runtime.trace("host.recovery_delivery", str(self.me),
-                                elapsed=elapsed, seq=msg.seq)
+            elapsed = now - (self._crashed_at or 0.0)
+            runtime.histogram("proto.host.recovery_time").observe(elapsed)
+            runtime.trace("host.recovery_delivery", str(self.me),
+                          elapsed=elapsed, seq=seq)
         return True
 
     # -- crash/recovery (failure model parity with the tree hosts) -----

@@ -146,15 +146,15 @@ class EpidemicSource(EpidemicHost):
 
     def broadcast(self, content: object = None) -> int:
         """Issue one new broadcast message; returns its sequence number."""
+        now = self.runtime.now()  # one read: the record's delay is exactly 0
         seq = self._next_seq
         self._next_seq += 1
-        msg = DataMsg(seq=seq, content=content, created_at=self.runtime.now(),
-                      origin=self.me, size_bits=self.config.data_size_bits)
+        msg = DataMsg(seq, content, now, self.me, False,
+                      self.config.data_size_bits)
         self.info.add(seq)
         self.store[seq] = msg
         self.deliveries.record(DeliveryRecord(
-            seq=seq, content=content, created_at=self.runtime.now(),
-            delivered_at=self.runtime.now(), supplier=self.me, via_gapfill=False))
+            seq, content, now, now, self.me, False))
         self.runtime.counter("proto.source.broadcasts").inc()
         # Rumor mongering: eager push to a few random hosts.
         if self.participants and self.config.fanout:

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.seqnoset import SeqnoSet
 from ..core.wire import DataMsg, forged_copy

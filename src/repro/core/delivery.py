@@ -11,15 +11,22 @@ these records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..net import HostId
+from ..net.message import TuplePayload
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One message delivered to one host."""
+class DeliveryRecord(TuplePayload):
+    """One message delivered to one host.
+
+    A tuple record, like the payloads (DESIGN.md §8 "Tuple payloads"):
+    every host builds one per delivery, so construction is one
+    ``tuple.__new__`` call.  Producers pass the fields positionally;
+    keywords work too.
+    """
+
+    __slots__ = ()
 
     seq: int
     content: object
@@ -27,6 +34,12 @@ class DeliveryRecord:
     delivered_at: float
     supplier: HostId
     via_gapfill: bool
+
+    def __new__(cls, seq: int, content: object, created_at: float,
+                delivered_at: float, supplier: HostId,
+                via_gapfill: bool) -> "DeliveryRecord":
+        return tuple.__new__(cls, (seq, content, created_at, delivered_at,
+                                   supplier, via_gapfill))
 
     @property
     def delay(self) -> float:

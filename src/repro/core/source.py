@@ -79,24 +79,27 @@ class SourceHost(BroadcastHost):
         """
         if not self._admit():
             return 0
+        runtime = self.runtime
+        # One clock read: the message and the source's own record carry
+        # the same creation time, so the source's delay is exactly 0.
+        now = runtime.now()
         seq = self._next_seq
         self._next_seq += 1
-        msg = DataMsg(seq=seq, content=content, created_at=self.runtime.now(),
-                      origin=self.me, gapfill=False,
-                      size_bits=self.config.data_size_bits)
+        msg = DataMsg(seq, content, now, self.me, False,
+                      self.config.data_size_bits)
         self.info.add(seq)
         self.store[seq] = msg
         self.deliveries.record(DeliveryRecord(
-            seq=seq, content=content, created_at=self.runtime.now(),
-            delivered_at=self.runtime.now(), supplier=self.me, via_gapfill=False))
-        self.runtime.trace("source.broadcast", str(self.me), seq=seq,
-                            while_crashed=self.crashed)
-        self.runtime.counter("proto.source.broadcasts").inc()
+            seq, content, now, now, self.me, False))
+        if runtime.trace_sink.active:
+            runtime.trace("source.broadcast", str(self.me), seq=seq,
+                          while_crashed=self.crashed)
+        runtime.counter("proto.source.broadcasts").inc()
         if not self.crashed:
             # While crashed, the message sits in the stable outbox only;
             # hosts catch up via gap filling once the source recovers.
             for child in sorted(self.children):
-                self._send_data(child, seq, gapfill=False)
+                self._send_data(child, seq, False, now)
         return seq
 
     def _admit(self) -> bool:

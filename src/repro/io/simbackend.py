@@ -44,6 +44,11 @@ class SimRuntime:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
+        #: the shared :class:`~repro.sim.trace.Tracer` (read side of
+        #: ``trace``; uniform with ``AsyncioRuntime.trace_sink`` so
+        #: monitors can consume the trace stream on either backend).  A
+        #: plain attribute: hot emit sites test ``trace_sink.active``.
+        self.trace_sink = sim.trace
         # Direct bindings: these four satisfy the Runtime contract with
         # the simulator's own bound methods (no wrapper frame).
         self.trace = sim.trace.emit
@@ -52,13 +57,6 @@ class SimRuntime:
         self.rng = sim.rng.stream
         # ``runtime.now()`` reads the loop-written ``sim.now`` in C.
         self.now = partial(getattr, sim, "now")
-
-    @property
-    def trace_sink(self):
-        """The shared :class:`~repro.sim.trace.Tracer` (read side of
-        ``trace``; uniform with ``AsyncioRuntime.trace_sink`` so
-        monitors can consume the trace stream on either backend)."""
-        return self.sim.trace
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback`` at the current virtual time (FIFO)."""

@@ -6,9 +6,10 @@ tracer.  Records carry the virtual timestamp, a dotted ``kind`` (e.g.
 free-form fields.  Tests and the analysis layer query the recorded
 stream; subscribers can also react to records as they are emitted.
 
-Recording is opt-in per ``kind`` prefix so long benchmarks can run with
-tracing disabled (the default records everything, which is what unit and
-integration tests want).
+Retention is all or nothing: while ``enabled`` the tracer keeps every
+record, otherwise none (the default keeps everything, which is what
+unit and integration tests want; long benchmarks turn it off).  Only
+subscribers select records by ``kind`` prefix.
 
 Fast-path contract (see DESIGN.md "Tracer fast path"):
 

@@ -1,4 +1,7 @@
-"""Unit tests for the delivery log."""
+"""Unit tests for the delivery record and the delivery log."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -13,6 +16,62 @@ def rec(seq, created=0.0, delivered=1.0, gapfill=False):
     return DeliveryRecord(seq=seq, content=f"m{seq}", created_at=created,
                           delivered_at=delivered, supplier=SRC,
                           via_gapfill=gapfill)
+
+
+class TestDeliveryRecord:
+    """A tuple record (``TuplePayload``), built once per delivery."""
+
+    FIELDS = (4, "m4", 1.5, 4.0, SRC, True)
+
+    def test_keyword_and_positional_construction_agree(self):
+        positional = DeliveryRecord(*self.FIELDS)
+        keyword = DeliveryRecord(seq=4, content="m4", created_at=1.5,
+                                 delivered_at=4.0, supplier=SRC,
+                                 via_gapfill=True)
+        assert positional == keyword
+        assert (keyword.seq, keyword.content, keyword.created_at,
+                keyword.delivered_at, keyword.supplier,
+                keyword.via_gapfill) == self.FIELDS
+        assert DeliveryRecord._fields == ("seq", "content", "created_at",
+                                          "delivered_at", "supplier",
+                                          "via_gapfill")
+
+    def test_fields_cannot_be_assigned(self):
+        record = DeliveryRecord(*self.FIELDS)
+        with pytest.raises(AttributeError):
+            record.seq = 5
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no __dict__ either
+
+    def test_equal_to_its_own_class_only(self):
+        record = DeliveryRecord(*self.FIELDS)
+        assert record == DeliveryRecord(*self.FIELDS)
+        assert record != self.FIELDS
+        assert not record == self.FIELDS
+        assert record != DeliveryRecord(5, *self.FIELDS[1:])
+
+    def test_hash_follows_equality(self):
+        record = DeliveryRecord(*self.FIELDS)
+        assert hash(record) == hash(DeliveryRecord(*self.FIELDS))
+        assert len({record, DeliveryRecord(*self.FIELDS)}) == 1
+
+    def test_pickle_and_copy_round_trip(self):
+        record = DeliveryRecord(*self.FIELDS)
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record)):
+            assert type(clone) is DeliveryRecord
+            assert clone == record
+
+    def test_repr_names_the_fields(self):
+        assert repr(DeliveryRecord(*self.FIELDS)) == (
+            "DeliveryRecord(seq=4, content='m4', created_at=1.5, "
+            "delivered_at=4.0, supplier=HostId(name='src'), via_gapfill=True)")
+
+    def test_delay_and_replace(self):
+        record = DeliveryRecord(*self.FIELDS)
+        assert record.delay == 2.5
+        later = record._replace(delivered_at=6.0)
+        assert type(later) is DeliveryRecord and later.delay == 4.5
 
 
 def test_record_and_query():

@@ -177,7 +177,13 @@ class Runtime(Protocol):
         Online oracles such as
         :class:`repro.verify.monitor.InvariantMonitor` subscribe;
         ``records()`` walks the whole retained trace, so nothing
-        periodic should call it."""
+        periodic should call it.
+
+        It must also expose a plain boolean attribute ``active``, equal
+        to ``enabled or bool(subscribers)``: true whenever records are
+        retained or anyone subscribes.  Hosts and transports skip their
+        per-delivery and per-packet ``trace`` calls while it is false,
+        so a sink that leaves it false loses those records."""
         ...
 
     def counter(self, name: str) -> CounterLike:

@@ -200,8 +200,8 @@ class TestForwardStoredMessage:
         host.store[2] = DataMsg(seq=2, content="b", created_at=0.5,
                                 origin=origin, size_bits=8_000)
         sent = self.capture_sends(host)
-        host._send_data(HostId("h0.2"), 1, gapfill=True)
-        host._send_data(HostId("h0.2"), 2, gapfill=False)
+        host._send_data(HostId("h0.2"), 1, gapfill=True, now=sim.now)
+        host._send_data(HostId("h0.2"), 2, gapfill=False, now=sim.now)
         fill, resized = sent
         assert fill is not host.store[1] and resized is not host.store[2]
         assert (fill.seq, fill.content, fill.gapfill, fill.size_bits) == \

@@ -101,7 +101,7 @@ class TestStoreShedding:
         host = system.hosts[HostId("h1.0")]
         for seq in range(1, 8):
             host.store[seq] = object()
-        host._shed_store()
+        host._shed_store(host._resources)
         return sorted(host.store), system
 
     def test_drop_oldest_keeps_newest(self):
@@ -125,7 +125,7 @@ class TestStoreShedding:
         source = system.source
         for seq in range(1, 10):
             source.store[seq] = object()
-        source._shed_store()
+        source._shed_store(source._resources)
         assert len(source.store) == 9
 
     def test_bounded_store_still_delivers_everything(self):
@@ -145,7 +145,7 @@ class TestFillTableShedding:
         target_a, target_b = HostId("h0.0"), HostId("h0.1")
         host._recent_fills = {target_a: {1: 1.0, 2: 5.0}, target_b: {1: 3.0}}
         host._fill_entries = 3
-        host._shed_fill_table()
+        host._shed_fill_table(host._resources)
         assert host._fill_entries == 2
         assert host._recent_fills[target_a] == {2: 5.0}  # stamp 1.0 evicted
         assert host._recent_fills[target_b] == {1: 3.0}
@@ -173,7 +173,8 @@ class TestOutboundShedding:
         host.store[1] = stored_data()
         host.port.queue_length = lambda: 5  # saturated access link
         before = system.sim.metrics.counter("proto.shed.outbound").value
-        host._send_data(HostId("h1.1"), 1, gapfill=False)
+        host._send_data(HostId("h1.1"), 1, gapfill=False,
+                        now=system.sim.now)
         assert system.sim.metrics.counter("proto.shed.outbound").value == before + 1
         records = [r for r in system.sim.trace.records(kind="host.shed")
                    if r.fields["buffer"] == "outbound"]
@@ -184,7 +185,8 @@ class TestOutboundShedding:
         host = system.hosts[HostId("h1.0")]
         assert host.port.queue_length() == 0
         host.store[1] = stored_data()
-        host._send_data(HostId("h1.1"), 1, gapfill=False)
+        host._send_data(HostId("h1.1"), 1, gapfill=False,
+                        now=system.sim.now)
         assert system.sim.metrics.counter("proto.shed.outbound").value == 0
         assert system.sim.metrics.counter("proto.data.forwarded").value == 1
 

@@ -183,8 +183,9 @@ class BasicSource(BaselineHostBase):
     def _retry_tick(self) -> None:
         if not self.unacked:  # nothing to retry: register no counter
             return
-        retransmissions = self.runtime.counter("basic.retransmissions")
-        trace, send, me = self.runtime.trace, self.port.send, self.me.name
+        runtime = self.runtime
+        retransmissions = runtime.counter("basic.retransmissions")
+        trace_sink, send, me = runtime.trace_sink, self.port.send, self.me.name
         limit = self.config.retry_batch_limit
         budget: Dict[HostId, int] = {}
         copies: Dict[int, DataMsg] = {}  # seq -> its one gap-fill copy
@@ -200,8 +201,9 @@ class BasicSource(BaselineHostBase):
                     stored.seq, stored.content, stored.created_at,
                     stored.origin, True, self.config.data_size_bits)
             send(host, msg)
-            retransmissions.inc()
-            trace("basic.retry", me, target=host.name, seq=seq)
+            retransmissions.value += 1.0
+            if trace_sink.active:
+                runtime.trace("basic.retry", me, target=host.name, seq=seq)
 
 
 class BasicBroadcastSystem(SimDeployment):

@@ -76,7 +76,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.seqnoset import SeqnoSet
 from ..core.wire import DataMsg, forged_copy
 from ..net import HostId, Packet, Payload
-from ..sim import Event, Simulator
+from ..sim import Entry, Simulator
 
 _INF = float("inf")
 
@@ -167,7 +167,7 @@ class _Persona:
         self._stale_snapshot: Optional[SeqnoSet] = None
         self._claimed = SeqnoSet()
         self._replay_log: List[Tuple[HostId, Payload]] = []
-        self._replay_event: Optional[Event] = None
+        self._replay_event: Optional[Entry] = None
 
     # -- lifecycle ---------------------------------------------------------
 

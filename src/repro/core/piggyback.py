@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net import HostId, Packet, Payload, TuplePayload
-from ..sim import Event, Simulator
+from ..sim import Entry, Simulator
 from .wire import KIND_CONTROL
 
 #: default framing overhead assumed included in every payload's size
@@ -71,7 +71,7 @@ class PiggybackPort:
         self.window = window
         self.header_bits = header_bits
         self._pending: Dict[HostId, List[Payload]] = {}
-        self._flush_events: Dict[HostId, Event] = {}
+        self._flush_events: Dict[HostId, Entry] = {}
         self._receiver: Optional[Callable[[Packet], None]] = None
         #: optional inbound tap (chaos injection hook); sees unbundled
         #: messages, exactly what the protocol machine would see

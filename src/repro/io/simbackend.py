@@ -59,7 +59,7 @@ class SimRuntime:
         self.now = partial(getattr, sim, "now")
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule ``callback`` at the current virtual time (FIFO)."""
+        """Schedule ``callback`` at the current virtual time, after what is due now."""
         self.sim.call_soon(callback, *args)
 
     # -- timers --------------------------------------------------------

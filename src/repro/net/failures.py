@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from ..sim import Event, Simulator
+from ..sim import Entry, Simulator
 from .addressing import HostId, LinkId
 from .topology import Network
 
@@ -103,7 +103,7 @@ class LinkFlapper:
         self._running = False
         #: per-link pending transition event, cancelled on stop() so a
         #: stopped flapper can never flip a link afterwards
-        self._pending: Dict[LinkId, Event] = {}
+        self._pending: Dict[LinkId, Entry] = {}
 
     def start(self) -> "LinkFlapper":
         """Start periodic activity; returns self for chaining."""

@@ -139,8 +139,8 @@ class _Direction:
         self.tx_counters = tx_counters
         # (net.drop.overflow, net.drop.overflow.link.<id>), on first overflow
         self.overflow_counters: Optional[Tuple[Counter, Counter]] = None
-        # An arrival is a plain-list heap entry (Simulator.post) whose
-        # callback is bound once, not per packet.
+        # Arrivals are pushed with Simulator.post, the one kernel push;
+        # their callback is bound once, not per packet.
         self.post = sim.post
         self._arrive = self.arrive
         self.busy_until = 0.0
@@ -217,7 +217,7 @@ class _Direction:
         outstanding = self.outstanding = outstanding + 1
         if outstanding > self.peak:
             self.peak = outstanding
-        self.pending[packet] = self.post(delay, self._arrive, (packet, deliver))
+        self.pending[packet] = self.post(now + delay, self._arrive, (packet, deliver))
 
         if self.dup_prob > 0 and self.rng.random() < self.dup_prob:
             dup = packet.fork()
@@ -227,7 +227,8 @@ class _Direction:
             outstanding = self.outstanding = outstanding + 1
             if outstanding > self.peak:
                 self.peak = outstanding
-            self.pending[dup] = self.post(delay + tx_time, self._arrive, (dup, deliver))
+            self.pending[dup] = self.post(now + (delay + tx_time), self._arrive,
+                                          (dup, deliver))
 
     def arrive(self, packet: Packet, deliver: DeliverFn) -> None:
         """The arrival event: the packet leaves the queue and reaches the far end."""

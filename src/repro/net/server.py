@@ -59,7 +59,7 @@ class Server:
         self._forward: Dict[HostId, _Step] = {}
         self._route_engine: Optional[RoutingEngine] = None
         self._route_gen = -1
-        # the processing-delay step is a plain-list heap entry
+        # the processing-delay step is pushed with Simulator.post
         self._post = sim.post
 
     # -- wiring (done by Network during construction) ---------------------
@@ -104,7 +104,7 @@ class Server:
                 return
         send, deliver, delay = step
         if delay > 0:
-            self._post(delay, send, (packet, deliver))
+            self._post(self.sim.now + delay, send, (packet, deliver))
         else:
             send(packet, deliver)
 

@@ -74,7 +74,7 @@ class Scenario:
 
 
 def _run_kernel_throughput(quick: bool, seed: int) -> ScenarioRun:
-    """Pure kernel stress: deep heap, call_soon FIFO, cancels, dead emits.
+    """Pure kernel stress: deep heap, call_soon pushes, cancels, dead emits.
 
     Tracing is disabled (the tracer's zero-cost path is itself part of
     what is measured).  The workload keeps ~``width`` events pending so

@@ -1,10 +1,12 @@
 """Deterministic discrete-event simulation kernel.
 
-The kernel is protocol-agnostic: it provides a virtual clock with a
-pending-event queue (:class:`Simulator`), periodic tasks and one-shot
-timers (:class:`PeriodicTask`, :class:`Timer`), named seed-derived RNG
-streams (:class:`RngRegistry`), structured tracing (:class:`Tracer`),
-and metrics (:class:`MetricsRegistry`).
+The kernel is protocol-agnostic: it provides a virtual clock with one
+heap of pending events (:class:`Simulator`; every scheduling call
+returns its heap entry, an :data:`Entry`, as the handle to cancel),
+periodic tasks and one-shot timers (:class:`PeriodicTask`,
+:class:`Timer`), named seed-derived RNG streams (:class:`RngRegistry`),
+structured tracing (:class:`Tracer`), and metrics
+(:class:`MetricsRegistry`).
 """
 
 from .errors import (
@@ -13,7 +15,7 @@ from .errors import (
     SimulationError,
     SimulatorFinishedError,
 )
-from .event import DEFAULT_PRIORITY, Event, EventQueue
+from .event import Entry
 from .kernel import Simulator
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .process import PeriodicTask, Timer
@@ -21,11 +23,9 @@ from .rng import RngRegistry, derive_seed
 from .trace import TraceRecord, Tracer, summarize_kinds
 
 __all__ = [
-    "DEFAULT_PRIORITY",
     "Counter",
-    "Event",
+    "Entry",
     "EventAlreadyCancelledError",
-    "EventQueue",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .event import Event
+from .event import Entry
 from .kernel import Simulator
 
 
@@ -44,7 +44,7 @@ class PeriodicTask:
         self.callback = callback
         self.name = name
         self._rng = sim.rng.stream(rng_stream)
-        self._event: Optional[Event] = None
+        self._event: Optional[Entry] = None
         self._running = False
         self._start_after = start_after
 
@@ -93,17 +93,17 @@ class Timer:
         self._sim = sim
         self.callback = callback
         self.name = name
-        self._event: Optional[Event] = None
+        self._event: Optional[Entry] = None
 
     @property
     def armed(self) -> bool:
         """True while the timer is armed."""
-        return self._event is not None and not self._event.cancelled
+        return self._event is not None and self._event[2] is not None
 
     def start(self, delay: float, *args: Any) -> None:
         """Arm the timer to fire after ``delay``; re-arms if already armed."""
         self.cancel()
-        # Firing kills the event, and a dead event is what disarms us.
+        # Firing kills the entry, and a dead entry is what disarms us.
         self._event = self._sim.schedule(delay, self.callback, *args)
 
     def cancel(self) -> None:

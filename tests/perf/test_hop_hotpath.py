@@ -2,9 +2,9 @@
 
 * A link direction is the transmitter.  Its arrival events (a
   duplicate's too) and a server's processing-delay step go onto the
-  kernel heap through ``Simulator.post``, as plain lists with
-  ``Simulator.schedule``'s key, so same-time events still run in
-  scheduling order and ``events_executed`` counts what ``schedule``
+  kernel heap through ``Simulator.post(sim.now + delay, ...)``, the
+  push every ``schedule`` call ends in, so same-time events still run
+  in scheduling order and ``events_executed`` counts what ``schedule``
   would have counted.
 * ``set_down``/``set_up`` reach both directions; ``set_down`` cancels
   live entries with the check that raises on a dead one.
@@ -84,11 +84,7 @@ def test_same_time_events_run_in_scheduling_order():
     last = sim.schedule(delay, log.append, "schedule 2")
     assert sim.pending == 4
 
-    # The in-place keys are schedule()'s: same time, same priority, and
-    # the next numbers of the same sequence counter.
-    assert arrival_entry[:3] == [scheduled.time, scheduled[1], scheduled[2] + 1]
-    assert last.time == scheduled.time
-    assert last[2] == scheduled[2] + 3
+    assert type(arrival_entry) is list
 
     before = sim.events_executed
     sim.run(until=sim.now + 2 * delay)
@@ -101,31 +97,43 @@ def test_post_gives_schedules_key_and_a_cancellable_plain_entry():
     sim = Simulator(seed=0)
     sim.schedule(0.25, lambda: None)
     sim.run()
-    scheduled = sim.schedule(0.5, print)
-    posted = sim.post(0.5, print, ("x",))
+    log = []
+    sim.schedule(0.5, log.append, "scheduled")
+    posted = sim.post(sim.now + 0.5, log.append, ("posted",))
+    sim.schedule(0.5, log.append, "scheduled after")
+    victim = sim.post(sim.now + 0.5, log.append, ("cancelled",))
     assert type(posted) is list
-    assert posted == [scheduled.time, scheduled[1], scheduled[2] + 1, print, ("x",)]
-    sim.cancel(posted)
+    sim.cancel(victim)
     with pytest.raises(EventAlreadyCancelledError):
-        sim.cancel(posted)
+        sim.cancel(victim)
     with pytest.raises(SchedulingInPastError):
-        sim.post(-0.1, print, ())
+        sim.post(sim.now - 0.1, print, ())
+    sim.run()
+    assert log == ["scheduled", "posted", "scheduled after"]
+    assert sim.now == 0.75
 
 
 def test_a_duplicate_arrives_one_transmission_time_later_on_the_same_path():
     sim = Simulator(seed=0)
     link = Link(sim, LinkId.of("a", "b"),
                 cheap_spec(latency=1.0, bandwidth_bps=1000.0, dup_prob=1.0))
-    marker = sim.schedule(0.0, lambda: None)
-    link.transmit(pkt(1000), "a", lambda p: None)
+    arrived = []
+    link.transmit(pkt(1000), "a", lambda p: arrived.append((sim.now, p)))
     entries = list(link.direction("a").pending.values())
     assert [type(e) for e in entries] == [list, list]
-    # 1 s to send, 1 s latency; the copy follows one transmission time later.
-    assert [e[:3] for e in entries] == [[2.0, 0, marker[2] + 1], [3.0, 0, marker[2] + 2]]
     assert link.queue_length("a") == link.queue_peak("a") == 2
     link.set_down()
-    assert all(e[3] is None for e in entries)
+    assert not any(sim.try_cancel(e) for e in entries)
     assert sim.metrics.counter("net.drop.down").value == 2
+
+    link.set_up()
+    original = pkt(1000)
+    link.transmit(original, "a", lambda p: arrived.append((sim.now, p)))
+    sim.run()
+    # 1 s to send, 1 s latency; the copy follows one transmission time later.
+    assert [t for t, _ in arrived] == [2.0, 3.0]
+    assert arrived[0][1] is original and arrived[1][1] is not original
+    assert arrived[1][1].hops == original.hops
 
 
 def test_a_negative_transmission_time_is_scheduling_in_the_past():

@@ -1,56 +1,48 @@
-"""The call_soon FIFO fast path must be observably identical to the heap.
-
-``EventQueue.push_soon`` keeps "run now" events in a deque merged
-against the heap at pop time; the execution order must match what a
-single heap would have produced, including cancellation and the
-``pop_next`` time limit.
+"""``call_soon`` is a heap push at the current time: "run now" entries
+and scheduled entries interleave in push order, a cancelled one is
+skipped, and ``run(until=...)`` stops at its limit for both.
 """
 
-from repro.sim import EventQueue, Simulator
+from repro.sim import Simulator
 
 
 def test_fifo_and_heap_merge_preserves_global_order():
-    queue = EventQueue()
+    sim = Simulator()
     order = []
-    queue.push(1.0, order.append, ("heap-1.0",), None)
-    queue.push_soon(0.0, order.append, ("soon-a",), None)
-    queue.push(0.0, order.append, ("heap-0.0",), None)
-    queue.push_soon(0.0, order.append, ("soon-b",), None)
-    while (event := queue.pop()) is not None:
-        event.callback(*event.args)
-    # Sequence numbers are shared, so the interleave is pure FIFO per time.
+    sim.schedule_at(1.0, order.append, "heap-1.0")
+    sim.call_soon(order.append, "soon-a")
+    sim.schedule_at(0.0, order.append, "heap-0.0")
+    sim.call_soon(order.append, "soon-b")
+    sim.run()
+    # One sequence counter, so the interleave is push order per time.
     assert order == ["soon-a", "heap-0.0", "soon-b", "heap-1.0"]
 
 
 def test_cancelled_fifo_event_is_skipped():
-    queue = EventQueue()
+    sim = Simulator()
     order = []
-    keep = queue.push_soon(0.0, order.append, ("keep",), None)
-    victim = queue.push_soon(0.0, order.append, ("victim",), None)
-    victim.cancel()
-    assert len(queue) == 1
-    assert queue.pop() is keep
-    assert queue.pop() is None
-
-
-def test_peek_time_sees_earlier_of_fifo_and_heap():
-    queue = EventQueue()
-    queue.push_soon(1.0, lambda: None, (), None)
-    assert queue.peek_time() == 1.0
-    queue.push(0.5, lambda: None, (), None)
-    assert queue.peek_time() == 0.5
+    sim.call_soon(order.append, "keep")
+    victim = sim.call_soon(order.append, "victim")
+    sim.cancel(victim)
+    assert sim.pending == 1
+    assert sim.step() is True
+    assert sim.step() is False
+    assert order == ["keep"]
 
 
 def test_pop_next_respects_limit_for_both_structures():
-    queue = EventQueue()
-    queue.push(2.0, lambda: None, (), None)
-    assert queue.pop_next(1.0) is None
-    assert len(queue) == 1
-    queue.push_soon(3.0, lambda: None, (), None)
-    assert queue.pop_next(1.0) is None
-    assert queue.pop_next(2.5) is not None  # heap event at 2.0
-    assert queue.pop_next(2.5) is None      # fifo event at 3.0 beyond limit
-    assert queue.pop_next(None) is not None
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(2.0, fired.append, "at 2.0")
+    sim.run(until=1.0)
+    assert (fired, sim.pending) == ([], 1)
+    sim.schedule_at(3.0, lambda: sim.call_soon(fired.append, "soon at 3.0"))
+    sim.run(until=2.5)
+    assert (fired, sim.pending) == (["at 2.0"], 1)
+    sim.run(until=2.9)
+    assert fired == ["at 2.0"]
+    sim.run()
+    assert (fired, sim.now) == (["at 2.0", "soon at 3.0"], 3.0)
 
 
 def test_call_soon_interleaves_like_schedule_zero():

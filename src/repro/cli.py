@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import itertools
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from .exec import (
     DEFAULT_CACHE_DIR,
@@ -169,6 +170,19 @@ def _parse_axis(entry: str) -> "tuple[str, List[Any]]":
     return name.strip(), values
 
 
+def grid(**axes: Sequence[Any]) -> Iterator[Dict[str, Any]]:
+    """Cartesian product over named axes, in deterministic order.
+
+    >>> list(grid(a=[1, 2], b=["x"]))
+    [{'a': 1, 'b': 'x'}, {'a': 2, 'b': 'x'}]
+    """
+    if not axes:
+        return
+    names = sorted(axes)
+    for values in itertools.product(*(axes[name] for name in names)):
+        yield dict(zip(names, values))
+
+
 def add_sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("experiment", help="experiment id to sweep (e.g. E21)")
     parser.add_argument("--set", action="append", dest="axes", default=[],
@@ -188,8 +202,6 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
 
 
 def run_sweep_command(args: argparse.Namespace) -> int:
-    from .experiments.sweep import grid
-
     try:
         spec = get_spec(args.experiment)
     except KeyError as exc:

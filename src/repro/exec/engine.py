@@ -7,9 +7,9 @@ three invariants that make parallel execution *bit-identical* to serial
 execution (DESIGN.md §10):
 
 1. **Self-contained items.**  A :class:`WorkItem` carries a picklable
-   module-level callable plus its kwargs (and optionally a derived
-   seed); the simulation is built *inside* the worker, so no state
-   leaks between items or from the parent process.
+   module-level callable plus its kwargs (a derived seed travels as
+   one of them); the simulation is built *inside* the worker, so no
+   state leaks between items or from the parent process.
 2. **Ordered merge.**  ``map()`` returns outcomes in submission order,
    regardless of completion order.
 3. **Structured failure.**  A worker that raises, hangs past its
@@ -46,22 +46,12 @@ class WorkItem:
 
     ``key`` is the item's canonical identity: it names the item in
     failure reports and cache entries and must be unique within a
-    batch.  ``seed``, when set, is merged into ``kwargs`` under
-    ``seed_param`` just before the call — this is how derived per-item
-    seeds travel with the item rather than with the executor.
+    batch.
     """
 
     key: Tuple[Any, ...]
     fn: Callable[..., Any]
     kwargs: Mapping[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
-    seed_param: str = "seed"
-
-    def call_kwargs(self) -> Dict[str, Any]:
-        kwargs = dict(self.kwargs)
-        if self.seed is not None:
-            kwargs[self.seed_param] = self.seed
-        return kwargs
 
 
 @dataclass(frozen=True)
@@ -148,7 +138,7 @@ class SerialExecutor:
     def map(self, items: Sequence[WorkItem]) -> List[ItemOutcome]:
         outcomes: List[ItemOutcome] = []
         for item in items:
-            tag, payload, wall = _run_item(item.fn, item.call_kwargs())
+            tag, payload, wall = _run_item(item.fn, dict(item.kwargs))
             if tag == "ok":
                 outcomes.append(ItemOutcome(item.key, True, value=payload,
                                             wall_s=wall))
@@ -182,6 +172,11 @@ class ProcessExecutor:
     and turns an abnormal worker death (segfault, ``os._exit``, OOM
     kill) into a ``"crash"`` failure for exactly that item.  Results
     are merged in submission order.
+
+    Workers are not daemonic, so an item may fan out over an executor
+    of its own (E22 does, inside ``experiments --jobs N``).  Instead,
+    ``map`` kills every worker still running when it raises or is
+    interrupted.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -210,8 +205,7 @@ class ProcessExecutor:
                 idx, item = pending.popleft()
                 process = self._ctx.Process(
                     target=_worker_main,
-                    args=(queue, idx, item.fn, item.call_kwargs()),
-                    daemon=True)
+                    args=(queue, idx, item.fn, dict(item.kwargs)))
                 process.start()
                 deadline = (time.monotonic() + self.timeout
                             if self.timeout is not None else None)
@@ -229,46 +223,57 @@ class ProcessExecutor:
                 except Empty:
                     return
 
-        launch()
-        while running:
-            drain(0.02)
-            now = time.monotonic()
-            for idx in list(running):
-                process, deadline = running[idx]
-                key = items[idx].key
-                if idx in reported:
-                    tag, payload, wall = reported.pop(idx)
-                    process.join()
-                    if tag == "ok":
-                        outcomes[idx] = ItemOutcome(key, True, value=payload,
-                                                    wall_s=wall)
-                    else:
-                        outcomes[idx] = ItemOutcome(key, False, failure=payload,
-                                                    wall_s=wall)
-                elif not process.is_alive():
-                    # Died without reporting: give the queue feeder one
-                    # last chance, then classify as a crash.
-                    drain(0.05)
+        try:
+            launch()
+            while running:
+                drain(0.02)
+                now = time.monotonic()
+                for idx in list(running):
+                    process, deadline = running[idx]
+                    key = items[idx].key
                     if idx in reported:
-                        continue  # handled on the next pass
-                    process.join()
-                    outcomes[idx] = ItemOutcome(key, False, failure=ItemFailure(
-                        kind="crash",
-                        message=f"worker exited with code {process.exitcode} "
-                                "before reporting a result"))
-                elif deadline is not None and now > deadline:
-                    process.terminate()
-                    process.join()
-                    outcomes[idx] = ItemOutcome(key, False, failure=ItemFailure(
-                        kind="timeout",
-                        message=f"exceeded {self.timeout:.1f}s; worker killed"),
-                        wall_s=self.timeout or 0.0)
-                else:
-                    continue
-                running.pop(idx)
-                launch()
-        queue.close()
-        queue.join_thread()
+                        tag, payload, wall = reported.pop(idx)
+                        process.join()
+                        if tag == "ok":
+                            outcomes[idx] = ItemOutcome(
+                                key, True, value=payload, wall_s=wall)
+                        else:
+                            outcomes[idx] = ItemOutcome(
+                                key, False, failure=payload, wall_s=wall)
+                    elif not process.is_alive():
+                        # Died without reporting: give the queue feeder
+                        # one last chance, then classify as a crash.
+                        drain(0.05)
+                        if idx in reported:
+                            continue  # handled on the next pass
+                        process.join()
+                        outcomes[idx] = ItemOutcome(
+                            key, False, failure=ItemFailure(
+                                kind="crash",
+                                message=f"worker exited with code "
+                                        f"{process.exitcode} before "
+                                        "reporting a result"))
+                    elif deadline is not None and now > deadline:
+                        process.terminate()
+                        process.join()
+                        outcomes[idx] = ItemOutcome(
+                            key, False, failure=ItemFailure(
+                                kind="timeout",
+                                message=f"exceeded {self.timeout:.1f}s; "
+                                        "worker killed"),
+                            wall_s=self.timeout or 0.0)
+                    else:
+                        continue
+                    running.pop(idx)
+                    launch()
+        finally:
+            # Reached with workers still running only when map raised
+            # or was interrupted: they must not outlive it.
+            for process, _ in running.values():
+                process.terminate()
+                process.join()
+            queue.close()
+            queue.join_thread()
         return [o for o in outcomes if o is not None]
 
 

@@ -1,15 +1,19 @@
 """Experiment harness: runners for every table/figure in DESIGN.md.
 
-Experiments are registered declaratively in
-:mod:`repro.experiments.registry` (:data:`REGISTRY`) and run from
-``python -m repro experiments``.  The runners accept an optional
-executor from :mod:`repro.exec` to fan their grids out over
-worker processes with bit-identical results.
+Each runner registers itself in :data:`REGISTRY`
+(:mod:`repro.experiments.registry`) and runs from
+``python -m repro experiments``.  :func:`deploy` turns a protocol name
+into a started system.  The runners accept an optional executor from
+:mod:`repro.exec` to fan their grids out over worker processes with
+bit-identical results.
 """
 
 from .records import ExperimentResult
 from .registry import REGISTRY, ExperimentSpec, get_spec, run_registered
 from .runners import (
+    PROTOCOLS,
+    SWEEP_DATA_BITS,
+    deploy,
     run_e1_cost,
     run_e2_delay,
     run_e3_recovery,
@@ -46,8 +50,6 @@ from .saturation import (
     measure_capacity,
     schedule_open_loop,
 )
-from .sweep import grid, sweep
-from .workload import bursty_stream, constant_rate_stream, poisson_stream
 
 __all__ = [
     "REGISTRY",
@@ -55,18 +57,16 @@ __all__ = [
     "ExperimentSpec",
     "get_spec",
     "run_registered",
+    "PROTOCOLS",
+    "SWEEP_DATA_BITS",
+    "deploy",
     "ARRIVAL_SHAPES",
     "CountingSource",
     "SloSpec",
     "arrival_times",
-    "bursty_stream",
-    "constant_rate_stream",
     "delivery_latency_stats",
-    "grid",
     "measure_capacity",
-    "poisson_stream",
     "schedule_open_loop",
-    "sweep",
     "run_e1_cost",
     "run_e2_delay",
     "run_e3_recovery",

@@ -2,8 +2,13 @@
 
 Each ``run_eN_*`` function builds fresh simulations, drives the
 workload, and returns an :class:`ExperimentResult` whose rows are the
-paper-style table.  Benchmarks (``benchmarks/bench_eN_*.py``) call these
-with default parameters; EXPERIMENTS.md records their output.
+paper-style table.  ``@register("EN")`` adds it to the registry, in
+definition order; the order of this file is the canonical E-series
+order.  :func:`deploy` is the one place a protocol name becomes a
+started system; runners whose configs differ on purpose (E6b, E7, E8's
+tree, E9, E13-E15, E17, E18) build theirs explicitly.  Benchmarks
+(``benchmarks/bench_eN_*.py``) call the runners with default
+parameters; EXPERIMENTS.md records their output.
 
 All runners are deterministic for a given ``seed``.
 """
@@ -20,6 +25,7 @@ from ..analysis import (
     CounterSnapshot,
     congestion_report,
     cost_report,
+    delay_stats,
     delivery_fraction,
     optimal_inter_cluster_cost,
     recovery_locality,
@@ -54,6 +60,7 @@ from ..exec import Executor, SerialExecutor, WorkItem, values_or_raise
 from ..sim import Simulator
 from ..verify import check_all, run_to_quiescence, true_leaders
 from .records import ExperimentResult
+from .registry import register
 from .saturation import (
     CountingSource,
     SloSpec,
@@ -66,14 +73,32 @@ from .saturation import (
 #: trunks under the basic algorithm's N-copies-per-message load
 SWEEP_DATA_BITS = 4_000
 
-
-def _tree_config(n_hosts: int, **overrides) -> ProtocolConfig:
-    return ProtocolConfig.for_scale(n_hosts, data_size_bits=SWEEP_DATA_BITS,
-                                    **overrides)
+#: protocol names :func:`deploy` knows
+PROTOCOLS: Tuple[str, ...] = ("tree", "basic", "epidemic")
 
 
-def _basic_config(**overrides) -> BasicConfig:
-    return BasicConfig(**{"data_size_bits": SWEEP_DATA_BITS, **overrides})
+def deploy(protocol: str, built, **overrides):
+    """Build and start ``protocol`` over ``built`` with the sweep config.
+
+    ``"tree"`` is :class:`BroadcastSystem` under
+    ``ProtocolConfig.for_scale(len(built.hosts))``; ``"basic"`` and
+    ``"epidemic"`` are the baselines under their default configs.  All
+    three send ``SWEEP_DATA_BITS`` data messages; ``overrides`` replace
+    config fields.
+    """
+    settings = {"data_size_bits": SWEEP_DATA_BITS, **overrides}
+    if protocol == "tree":
+        system = BroadcastSystem(built, config=ProtocolConfig.for_scale(
+            len(built.hosts), **settings))
+    elif protocol == "basic":
+        system = BasicBroadcastSystem(built, config=BasicConfig(**settings))
+    elif protocol == "epidemic":
+        system = EpidemicBroadcastSystem(built,
+                                         config=EpidemicConfig(**settings))
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}; known: "
+                         f"{', '.join(PROTOCOLS)}")
+    return system.start()
 
 
 def _map_items(executor: Optional[Executor],
@@ -120,13 +145,7 @@ def _sweep_point(protocol: str, k: int, m: int, seed: int, n: int,
                  interval: float, warmup: int) -> Dict[str, float]:
     sim = Simulator(seed=seed)
     built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m, backbone="line")
-    if protocol == "tree":
-        system = BroadcastSystem(built, config=_tree_config(k * m))
-    elif protocol == "basic":
-        system = BasicBroadcastSystem(built, config=_basic_config())
-    else:
-        raise ValueError(protocol)
-    system.start()
+    system = deploy(protocol, built)
     ok, done_at, snapshot, warmup_end = _run_stream(
         system, n, interval, warmup, timeout=600.0)
     cost = cost_report(sim, n, since=snapshot)
@@ -152,6 +171,7 @@ def _e1_e2_items(experiment: str, ks: Sequence[int], ms: Sequence[int],
     ]
 
 
+@register("E1")
 def run_e1_cost(seed: int = 1, ks: Sequence[int] = (2, 4, 6),
                 ms: Sequence[int] = (1, 2, 4), n: int = 20,
                 interval: float = 2.0, warmup: int = 5,
@@ -182,6 +202,7 @@ def run_e1_cost(seed: int = 1, ks: Sequence[int] = (2, 4, 6),
     return result
 
 
+@register("E2")
 def run_e2_delay(seed: int = 1, ks: Sequence[int] = (2, 4, 6),
                  ms: Sequence[int] = (2, 4), n: int = 20,
                  interval: float = 2.0, warmup: int = 5,
@@ -212,6 +233,7 @@ def run_e2_delay(seed: int = 1, ks: Sequence[int] = (2, 4, 6),
 # ----------------------------------------------------------------------
 
 
+@register("E3")
 def run_e3_recovery(seed: int = 2, losses: Sequence[float] = (0.02, 0.05, 0.1, 0.2),
                     k: int = 3, m: int = 3, n: int = 30,
                     interval: float = 1.0) -> ExperimentResult:
@@ -227,11 +249,7 @@ def run_e3_recovery(seed: int = 2, losses: Sequence[float] = (0.02, 0.05, 0.1, 0
                 sim, clusters=k, hosts_per_cluster=m, backbone="line",
                 cheap=cheap_spec(loss_prob=loss),
                 expensive=expensive_spec(loss_prob=loss))
-            if protocol == "tree":
-                system = BroadcastSystem(built, config=_tree_config(k * m))
-            else:
-                system = BasicBroadcastSystem(built, config=_basic_config())
-            system.start()
+            system = deploy(protocol, built)
             system.broadcast_stream(n, interval=interval, start_at=2.0)
             system.run_until_delivered(n, timeout=600.0)
             records = system.delivery_records()
@@ -254,6 +272,7 @@ def run_e3_recovery(seed: int = 2, losses: Sequence[float] = (0.02, 0.05, 0.1, 0
 # ----------------------------------------------------------------------
 
 
+@register("E4")
 def run_e4_partition(seed: int = 3, k: int = 3, m: int = 2,
                      partition: Tuple[float, float] = (10.0, 40.0),
                      n: int = 30, interval: float = 1.0) -> ExperimentResult:
@@ -269,11 +288,7 @@ def run_e4_partition(seed: int = 3, k: int = 3, m: int = 2,
                             backbone="line")
         isolated = set(str(h) for h in built.clusters[-1])
         midstream_partition(built, cluster_index=k - 1, start=start, end=end)
-        if protocol == "tree":
-            system = BroadcastSystem(built, config=_tree_config(k * m))
-        else:
-            system = BasicBroadcastSystem(built, config=_basic_config())
-        system.start()
+        system = deploy(protocol, built)
         system.broadcast_stream(n, interval=interval, start_at=2.0)
         ok = system.run_until_delivered(n, timeout=600.0)
         completion = time_to_full_delivery(system.delivery_records(), n,
@@ -304,11 +319,7 @@ def _e5_point(protocol: str, k: int, m: int, seed: int, n: int,
     sim = Simulator(seed=seed)
     built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
                         backbone="star")
-    if protocol == "tree":
-        system = BroadcastSystem(built, config=_tree_config(k * m))
-    else:
-        system = BasicBroadcastSystem(built, config=_basic_config())
-    system.start()
+    system = deploy(protocol, built)
     system.broadcast_stream(n, interval=interval, start_at=2.0)
     system.run_until_delivered(n, timeout=600.0)
     report = congestion_report(sim, built.network, system.source_id)
@@ -318,6 +329,7 @@ def _e5_point(protocol: str, k: int, m: int, seed: int, n: int,
                 source_peak_queue=report.source_peak_queue)
 
 
+@register("E5")
 def run_e5_congestion(seed: int = 4, k: int = 4,
                       ms: Sequence[int] = (2, 4, 8), n: int = 20,
                       interval: float = 1.0,
@@ -345,6 +357,7 @@ def run_e5_congestion(seed: int = 4, k: int = 4,
 # ----------------------------------------------------------------------
 
 
+@register("E6")
 def run_e6_control(seed: int = 5, k: int = 3, m: int = 3,
                    stream_sizes: Sequence[int] = (0, 50, 200),
                    horizon: float = 120.0) -> ExperimentResult:
@@ -358,11 +371,7 @@ def run_e6_control(seed: int = 5, k: int = 3, m: int = 3,
             sim = Simulator(seed=seed)
             built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
                                 backbone="line")
-            if protocol == "tree":
-                system = BroadcastSystem(built, config=_tree_config(k * m))
-            else:
-                system = BasicBroadcastSystem(built, config=_basic_config())
-            system.start()
+            system = deploy(protocol, built)
             if n:
                 system.broadcast_stream(
                     n, interval=(horizon * 0.7) / n, start_at=2.0)
@@ -377,6 +386,7 @@ def run_e6_control(seed: int = 5, k: int = 3, m: int = 3,
     return result
 
 
+@register("E6b")
 def run_e6_tuning(seed: int = 5, k: int = 3, m: int = 3,
                   factors: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
                   horizon: float = 120.0) -> ExperimentResult:
@@ -388,7 +398,8 @@ def run_e6_tuning(seed: int = 5, k: int = 3, m: int = 3,
         sim = Simulator(seed=seed)
         built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
                             backbone="line")
-        config = _tree_config(k * m).scaled(factor)
+        config = ProtocolConfig.for_scale(
+            k * m, data_size_bits=SWEEP_DATA_BITS).scaled(factor)
         system = BroadcastSystem(built, config=config).start()
         sim.run(until=horizon)
         report = traffic_report(sim)
@@ -403,6 +414,7 @@ def run_e6_tuning(seed: int = 5, k: int = 3, m: int = 3,
 # ----------------------------------------------------------------------
 
 
+@register("E7")
 def run_e7_tradeoff(seed: int = 6,
                     factors: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
                     window: WindowSpec = WindowSpec(period=30.0, width=4.0,
@@ -458,6 +470,7 @@ def run_e7_tradeoff(seed: int = 6,
 # ----------------------------------------------------------------------
 
 
+@register("E8")
 def run_e8_fig31(seed: int = 7, n: int = 20, interval: float = 1.0,
                  warmup: int = 5) -> ExperimentResult:
     """E8: link traversals per message on the Figure 3.1 diamond."""
@@ -473,13 +486,14 @@ def run_e8_fig31(seed: int = 7, n: int = 20, interval: float = 1.0,
     for protocol in ("tree", "basic"):
         sim = Simulator(seed=seed)
         built = figure_3_1(sim)
+        # Both protocols run their default (full-size) data messages.
         if protocol == "tree":
-            system = BroadcastSystem(built, config=ProtocolConfig())
+            system = BroadcastSystem(built, config=ProtocolConfig()).start()
         else:
-            system = BasicBroadcastSystem(built)
-        system.start()
-        ok, _, snapshot, _ = _run_stream(system, n, interval, warmup,
-                                         timeout=300.0)
+            system = deploy("basic", built,
+                            data_size_bits=BasicConfig.data_size_bits)
+        _, _, snapshot, _ = _run_stream(system, n, interval, warmup,
+                                        timeout=300.0)
         # Count only data-message traversals (control excluded to match
         # the figure's argument about a single broadcast message).
         data_tx = snapshot.delta(sim)["net.link_tx.kind.data"]
@@ -495,11 +509,9 @@ def run_e8_fig31(seed: int = 7, n: int = 20, interval: float = 1.0,
 # ----------------------------------------------------------------------
 
 
+@register("E9")
 def run_e9_fig41(seed: int = 8) -> ExperimentResult:
     """E9: i={1,3}, j={2,3}, source isolated; both must converge."""
-    from ..core.wire import DataMsg
-    from ..net import HostId
-
     result = ExperimentResult(
         "E9", "Figure 4.1: non-neighbor gap filling with the source isolated",
         ["host", "before", "after", "gap_supplier", "reattached"])
@@ -562,6 +574,7 @@ def run_e9_fig41(seed: int = 8) -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
+@register("E10")
 def run_e10_ablation(seed: int = 9, k: int = 3, m: int = 3, n: int = 30,
                      interval: float = 1.0, churn: bool = True) -> ExperimentResult:
     """E10: dynamic vs static vs no cluster knowledge; II.3 on/off."""
@@ -583,8 +596,7 @@ def run_e10_ablation(seed: int = 9, k: int = 3, m: int = 3, n: int = 30,
         if churn:
             flapper = LinkFlapper(sim, built.network, built.backbone,
                                   mean_up=25.0, mean_down=4.0).start()
-        config = dataclasses.replace(_tree_config(k * m), **overrides)
-        system = BroadcastSystem(built, config=config).start()
+        system = deploy("tree", built, **overrides)
         system.broadcast_stream(n, interval=interval, start_at=2.0)
         system.run_until_delivered(n, timeout=400.0)
         if flapper:
@@ -606,6 +618,7 @@ def run_e10_ablation(seed: int = 9, k: int = 3, m: int = 3, n: int = 30,
 # ----------------------------------------------------------------------
 
 
+@register("E11")
 def run_e11_fig32(seed: int = 10, n: int = 10) -> ExperimentResult:
     """E11: quiescent structure checks on the Figure 3.2 topology."""
     result = ExperimentResult(
@@ -613,7 +626,7 @@ def run_e11_fig32(seed: int = 10, n: int = 10) -> ExperimentResult:
         ["check", "violations"])
     sim = Simulator(seed=seed)
     built = figure_3_2(sim)
-    system = BroadcastSystem(built, config=_tree_config(len(built.hosts))).start()
+    system = deploy("tree", built)
     system.broadcast_stream(n, interval=1.0, start_at=2.0)
     system.run_until_delivered(n, timeout=300.0)
     quiesced = run_to_quiescence(system, stable_window=15.0, timeout=200.0)
@@ -633,6 +646,7 @@ def run_e11_fig32(seed: int = 10, n: int = 10) -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
+@register("E12")
 def run_e12_epidemic(seed: int = 11, k: int = 3, m: int = 3, n: int = 20,
                      interval: float = 2.0, warmup: int = 5) -> ExperimentResult:
     """E12: tree vs basic vs epidemic on cost and delay."""
@@ -644,16 +658,9 @@ def run_e12_epidemic(seed: int = 11, k: int = 3, m: int = 3, n: int = 20,
         sim = Simulator(seed=seed)
         built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
                             backbone="line")
-        if protocol == "tree":
-            system = BroadcastSystem(built, config=_tree_config(k * m))
-        elif protocol == "basic":
-            system = BasicBroadcastSystem(built, config=_basic_config())
-        else:
-            system = EpidemicBroadcastSystem(
-                built, config=EpidemicConfig(data_size_bits=SWEEP_DATA_BITS))
-        system.start()
-        ok, _, snapshot, _ = _run_stream(system, n, interval, warmup,
-                                         timeout=600.0)
+        system = deploy(protocol, built)
+        _, _, snapshot, _ = _run_stream(system, n, interval, warmup,
+                                        timeout=600.0)
         cost = cost_report(sim, n, since=snapshot)
         records = system.delivery_records()
         delays = system_delay_stats(records, system.source_id, since_seq=warmup)
@@ -673,6 +680,7 @@ def run_e12_epidemic(seed: int = 11, k: int = 3, m: int = 3, n: int = 20,
 # ----------------------------------------------------------------------
 
 
+@register("E13")
 def run_e13_piggyback(seed: int = 12, k: int = 2, m: int = 3,
                       n_per_source: int = 5,
                       n_sources: Sequence[int] = (1, 2, 3)) -> ExperimentResult:
@@ -716,11 +724,11 @@ def run_e13_piggyback(seed: int = 12, k: int = 2, m: int = 3,
 # ----------------------------------------------------------------------
 
 
+@register("E14")
 def run_e14_multisource(seed: int = 13, k: int = 2, m: int = 3,
                         n: int = 10) -> ExperimentResult:
     """E14: running several identical single-source protocols."""
     from ..core import MultiSourceBroadcastSystem
-    from ..net import HostId
 
     result = ExperimentResult(
         "E14", "Multiple sources via parallel single-source instances",
@@ -747,7 +755,6 @@ def run_e14_multisource(seed: int = 13, k: int = 2, m: int = 3,
             for host_id, recs in records.items():
                 if host_id != src:
                     delays.extend(r.delay for r in recs)
-        from ..analysis import delay_stats
         stats = delay_stats(delays)
         result.add_row(
             sources=count, delivered=ok,
@@ -768,11 +775,11 @@ def run_e14_multisource(seed: int = 13, k: int = 2, m: int = 3,
 # ----------------------------------------------------------------------
 
 
+@register("E15")
 def run_e15_load_adaptation(seed: int = 5, shift_at: float = 40.0,
                             n_phase1: int = 30, n_phase2: int = 40,
                             interval: float = 1.0) -> ExperimentResult:
     """E15: case II option 3 migrates leaders away from loaded paths."""
-    from ..net import HostId
     from ..scenarios import apply_load_shift, load_shift_topology
 
     result = ExperimentResult(
@@ -820,6 +827,7 @@ def run_e15_load_adaptation(seed: int = 5, shift_at: float = 40.0,
 # ----------------------------------------------------------------------
 
 
+@register("E16")
 def run_e16_clock_skew(seed: int = 14, k: int = 2, m: int = 3, n: int = 15,
                        offsets: Sequence[float] = (0.0, 0.001, 0.01, 0.1, 0.5),
                        ) -> ExperimentResult:
@@ -838,10 +846,7 @@ def run_e16_clock_skew(seed: int = 14, k: int = 2, m: int = 3, n: int = 15,
         if max_offset:
             built.network.use_clocks(
                 ClockModel(sim).randomize(built.hosts, max_offset=max_offset))
-        config = ProtocolConfig.for_scale(
-            k * m, cost_bit_mode=CostBitMode.TIMESTAMP,
-            data_size_bits=SWEEP_DATA_BITS)
-        system = BroadcastSystem(built, config=config).start()
+        system = deploy("tree", built, cost_bit_mode=CostBitMode.TIMESTAMP)
         system.broadcast_stream(n, interval=1.0, start_at=2.0)
         ok = system.run_until_delivered(n, timeout=400.0)
         sim.run(until=sim.now + 15.0)
@@ -881,6 +886,7 @@ def run_e16_clock_skew(seed: int = 14, k: int = 2, m: int = 3, n: int = 15,
 # ----------------------------------------------------------------------
 
 
+@register("E17")
 def run_e17_design_ablation(seed: int = 4, k: int = 4, m: int = 4,
                             n: int = 25, interval: float = 1.0,
                             partition: Tuple[float, float] = (5.0, 35.0),
@@ -940,6 +946,7 @@ def run_e17_design_ablation(seed: int = 4, k: int = 4, m: int = 4,
 # ----------------------------------------------------------------------
 
 
+@register("E18")
 def run_e18_relative_reliability(
         seed: int = 16,
         factors: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
@@ -1000,6 +1007,7 @@ def run_e18_relative_reliability(
 # ----------------------------------------------------------------------
 
 
+@register("E19")
 def run_e19_hierarchical(seed: int = 17,
                          shapes: Sequence[Tuple[int, int, int]] = (
                              (2, 2, 2), (3, 2, 2), (3, 3, 1), (4, 2, 1)),
@@ -1025,8 +1033,7 @@ def run_e19_hierarchical(seed: int = 17,
                                  hosts_per_server=hosts_per,
                                  backbone="line")
         total_hosts = clusters * servers * hosts_per
-        system = BroadcastSystem(
-            built, config=_tree_config(total_hosts)).start()
+        system = deploy("tree", built)
         ok, _, snapshot, _ = _run_stream(system, n, interval, warmup,
                                          timeout=600.0)
         cost = cost_report(sim, n, since=snapshot)
@@ -1055,20 +1062,15 @@ def _e20_protocol(protocol: str, seed: int, clusters: int,
     from ..chaos import ChaosPlan, ChaosSpec, HostChurnSpec
     from ..verify import InvariantMonitor
 
-    n_hosts = clusters * hosts_per_cluster
     sim = Simulator(seed=seed)
     built = wan_of_lans(sim, clusters=clusters,
                         hosts_per_cluster=hosts_per_cluster,
                         backbone="line")
+    system = deploy(protocol, built, crash_stable_lag=crash_stable_lag)
     monitor = None
     if protocol == "tree":
-        system = BroadcastSystem(built, config=_tree_config(
-            n_hosts, crash_stable_lag=crash_stable_lag)).start()
         monitor = InvariantMonitor(system, sample_period=1.0,
                                    stable_window=20.0).start()
-    else:
-        system = BasicBroadcastSystem(built, config=_basic_config(
-            crash_stable_lag=crash_stable_lag)).start()
     churned = tuple(str(h) for h in built.hosts
                     if h != system.source_id)
     ChaosPlan(sim, system, ChaosSpec(
@@ -1117,6 +1119,7 @@ def _e20_protocol(protocol: str, seed: int, clusters: int,
     return rows
 
 
+@register("E20")
 def run_e20_host_churn(seed: int = 18, clusters: int = 3,
                        hosts_per_cluster: int = 2, n: int = 20,
                        interval: float = 1.0, heal_by: float = 60.0,
@@ -1180,15 +1183,13 @@ def _e21_point(point: Sequence, mode: str, seed: int, clusters: int,
     from ..chaos import ChaosPlan, ChaosSpec, HostOutageSpec, PacketFaultSpec
     from ..verify import InvariantMonitor
 
-    n_hosts = clusters * hosts_per_cluster
     label, loss, corrupt, delay_prob, delay, replay = point
     sim = Simulator(seed=seed)
     built = wan_of_lans(
         sim, clusters=clusters, hosts_per_cluster=hosts_per_cluster,
         backbone="line", expensive=expensive_spec(loss_prob=loss))
-    config = _tree_config(n_hosts, crash_stable_lag=1,
-                          adaptive=(mode == "adaptive"))
-    system = BroadcastSystem(built, config=config).start()
+    system = deploy("tree", built, crash_stable_lag=1,
+                    adaptive=(mode == "adaptive"))
     monitor = InvariantMonitor(system, sample_period=1.0,
                                stable_window=20.0).start()
     # Two mid-stream outages give every point a recovery probe; ends
@@ -1243,6 +1244,7 @@ def _e21_items(seed: int, clusters: int, hosts_per_cluster: int, n: int,
     ]
 
 
+@register("E21")
 def run_e21_adversarial_timing(seed: int = 21, clusters: int = 3,
                                hosts_per_cluster: int = 2, n: int = 30,
                                interval: float = 1.0, heal_by: float = 40.0,
@@ -1284,6 +1286,7 @@ def run_e21_adversarial_timing(seed: int = 21, clusters: int = 3,
 # ----------------------------------------------------------------------
 
 
+@register("E22")
 def run_e22_parallel_speedup(seed: int = 21,
                              jobs_list: Sequence[int] = (1, 2, 4),
                              clusters: int = 3, hosts_per_cluster: int = 2,
@@ -1334,6 +1337,7 @@ def run_e22_parallel_speedup(seed: int = 21,
 # ----------------------------------------------------------------------
 
 
+@register("E23")
 def run_e23_fuzz_campaign(seed: int = 7, trials: int = 10,
                           protocols: Sequence[str] = ("tree", "basic"),
                           max_shrink_evals: int = 120,
@@ -1394,8 +1398,7 @@ def _e24_placements(seed: int, clusters: int, hosts_per_cluster: int
     built = wan_of_lans(sim, clusters=clusters,
                         hosts_per_cluster=hosts_per_cluster,
                         backbone="line")
-    system = BroadcastSystem(
-        built, config=_tree_config(clusters * hosts_per_cluster)).start()
+    system = deploy("tree", built)
     run_to_quiescence(system)
     parents = {str(p) for p in system.parent_edges().values()
                if p is not None}
@@ -1425,21 +1428,15 @@ def _e24_point(protocol: str, seed: int, clusters: int,
     from ..verify import (InvariantMonitor, classify_containment,
                           classify_spans, worst_status)
 
-    n_hosts = clusters * hosts_per_cluster
     sim = Simulator(seed=seed)
     built = wan_of_lans(sim, clusters=clusters,
                         hosts_per_cluster=hosts_per_cluster,
                         backbone="line")
+    system = deploy(protocol, built)
     monitor = None
     if protocol == "tree":
-        system: Any = BroadcastSystem(
-            built, config=_tree_config(n_hosts)).start()
         monitor = InvariantMonitor(system, sample_period=1.0,
                                    stable_window=20.0).start()
-    elif protocol == "basic":
-        system = BasicBroadcastSystem(built, config=_basic_config()).start()
-    else:
-        system = EpidemicBroadcastSystem(built).start()
     if adversary_hosts:
         ChaosPlan(sim, system, ChaosSpec(
             heal_by=start_at + 1.0,
@@ -1482,6 +1479,7 @@ def _e24_point(protocol: str, seed: int, clusters: int,
         broken=broken if monitor is not None else "-")
 
 
+@register("E24")
 def run_e24_adversary_containment(
         seed: int = 24, clusters: int = 3, hosts_per_cluster: int = 2,
         n: int = 12, interval: float = 1.0, ks: Sequence[int] = (0, 1, 2),
@@ -1519,7 +1517,7 @@ def run_e24_adversary_containment(
          "correct_delivered", "correct_ok", "containment", "contained",
          "broken"])
     items = []
-    for protocol in ("tree", "basic", "epidemic"):
+    for protocol in PROTOCOLS:
         for k in ks:
             if k == 0:
                 grid: List[Tuple[str, str]] = [("-", "-")]
@@ -1571,27 +1569,13 @@ def _e25_resources(capacity: float) -> ResourceConfig:
                           admission_rate=capacity, admission_burst=8)
 
 
-def _e25_system(protocol: str, built, n_hosts: int, capacity: float):
-    """Build and start one E25 system (dispatch mirrors `_e24_point`)."""
-    if protocol == "tree":
-        return BroadcastSystem(built, config=_tree_config(n_hosts)).start()
-    if protocol == "tree+shed":
-        return BroadcastSystem(built, config=_tree_config(
-            n_hosts, resources=_e25_resources(capacity))).start()
-    if protocol == "basic":
-        return BasicBroadcastSystem(built, config=_basic_config()).start()
-    return EpidemicBroadcastSystem(
-        built, config=EpidemicConfig(data_size_bits=SWEEP_DATA_BITS)).start()
-
-
 def _e25_capacity(protocol: str, seed: int, clusters: int,
                   hosts_per_cluster: int, probe_n: int) -> float:
     """Closed-loop capacity probe for one (unshed) protocol family."""
     sim = Simulator(seed=seed)
     built = wan_of_lans(sim, clusters=clusters,
                         hosts_per_cluster=hosts_per_cluster, backbone="line")
-    system = _e25_system(protocol, built, clusters * hosts_per_cluster, 0.0)
-    return measure_capacity(system, n=probe_n)
+    return measure_capacity(deploy(protocol, built), n=probe_n)
 
 
 def _e25_point(protocol: str, shape: str, utilization: float,
@@ -1603,11 +1587,13 @@ def _e25_point(protocol: str, shape: str, utilization: float,
     from ..chaos import ChaosPlan, ChaosSpec, HostChurnSpec
     from ..verify import OverloadMonitor
 
-    n_hosts = clusters * hosts_per_cluster
     sim = Simulator(seed=seed)
     built = wan_of_lans(sim, clusters=clusters,
                         hosts_per_cluster=hosts_per_cluster, backbone="line")
-    system = _e25_system(protocol, built, n_hosts, capacity)
+    if protocol == "tree+shed":
+        system = deploy("tree", built, resources=_e25_resources(capacity))
+    else:
+        system = deploy(protocol, built)
     monitor = OverloadMonitor(sim, built.network, system=system).start()
 
     start_at = 5.0  # let the tree attach before the load window opens
@@ -1653,6 +1639,7 @@ def _e25_point(protocol: str, shape: str, utilization: float,
                     and worst["overflows"] else "-"))
 
 
+@register("E25")
 def run_e25_saturation(
         seed: int = 25, clusters: int = 3, hosts_per_cluster: int = 2,
         duration: float = 30.0,
@@ -1682,14 +1669,13 @@ def run_e25_saturation(
     E20-style host churn on the shedding tree (the epidemic baseline
     has no crash model), churn healing when the load window closes.
     """
-    base = ("tree", "basic", "epidemic")
     probes = [WorkItem(key=("E25", "capacity", protocol), fn=_e25_capacity,
                        kwargs=dict(protocol=protocol, seed=seed,
                                    clusters=clusters,
                                    hosts_per_cluster=hosts_per_cluster,
                                    probe_n=probe_n))
-              for protocol in base]
-    capacity = dict(zip(base, _map_items(executor, probes)))
+              for protocol in PROTOCOLS]
+    capacity = dict(zip(PROTOCOLS, _map_items(executor, probes)))
     capacity["tree+shed"] = capacity["tree"]  # same protocol family
 
     result = ExperimentResult(
@@ -1725,7 +1711,7 @@ def run_e25_saturation(
     for row in _map_items(executor, items):
         result.add_row(**row)
     result.note("capacities (msg/s): " + ", ".join(
-        f"{p}={capacity[p]:.2f}" for p in base) +
+        f"{p}={capacity[p]:.2f}" for p in PROTOCOLS) +
         "; util is the offered fraction of the protocol's own capacity; "
         "latency percentiles cover the admitted window only; the churn "
         "row composes overload with E20-style host crash/recovery "

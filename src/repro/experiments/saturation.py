@@ -1,7 +1,7 @@
 """Sustained open-loop workloads, capacity probing, and latency SLOs.
 
-The closed-count generators in :mod:`repro.experiments.workload` inject
-"n messages, then stop" — the right shape for correctness experiments,
+A closed-count stream (``system.broadcast_stream``) injects "n
+messages, then stop" — the right shape for correctness experiments,
 the wrong one for overload questions.  Saturation experiments (E25)
 need **open-loop** load: arrivals keep coming for a fixed *duration* at
 a chosen fraction of the system's measured capacity, whether or not the
@@ -26,13 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..analysis.delay import DelayStats, delay_stats
 from ..core.delivery import DeliveryRecord
 from ..net import HostId
 from ..sim import Simulator
-from .workload import SourceLike
+
+
+class SourceLike(Protocol):
+    """Anything with a ``broadcast(content) -> int`` method."""
+
+    def broadcast(self, content: object = None) -> int: ...
+
 
 #: arrival shapes understood by :func:`arrival_times`
 ARRIVAL_SHAPES: Tuple[str, ...] = ("poisson", "bursty", "diurnal")

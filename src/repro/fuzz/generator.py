@@ -53,11 +53,6 @@ from ..net import BuiltTopology, wan_of_lans
 from ..scenarios.partitions import WindowSpec
 from ..sim import Simulator
 
-#: fuzz trials use the sweep-sized data messages so random workloads
-#: cannot saturate 56 kbit/s trunks into a trivial congestion collapse
-FUZZ_DATA_BITS = 4_000
-
-
 @dataclass(frozen=True)
 class TopologySpec:
     """A ``wan_of_lans`` instance, by its parameters."""

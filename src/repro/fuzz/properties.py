@@ -41,11 +41,10 @@ import json
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..baseline import BasicBroadcastSystem, BasicConfig
 from ..chaos import ChaosPlan
-from ..core import BroadcastSystem, ProtocolConfig
+from ..experiments import deploy
 from ..verify import InvariantMonitor, span_hosts
-from .generator import FUZZ_DATA_BITS, TrialSpec, build_topology
+from .generator import TrialSpec, build_topology
 
 CLEAN = "clean"
 STABLE_VIOLATION = "stable_violation"
@@ -97,21 +96,17 @@ def delivery_signature(system) -> str:
 
 
 def build_system(spec: TrialSpec):
-    """Deploy the trial's protocol instance (started) over its topology."""
+    """Deploy the trial's protocol instance (started) over its topology.
+
+    Trials run :func:`~repro.experiments.deploy`'s sweep config: its
+    4 000-bit data messages keep random workloads from saturating
+    56 kbit/s trunks into a trivial congestion collapse.
+    """
     sim, built = build_topology(spec)
-    n_hosts = spec.topology.clusters * spec.topology.hosts_per_cluster
-    if spec.protocol == "tree":
-        config = ProtocolConfig.for_scale(
-            n_hosts, data_size_bits=FUZZ_DATA_BITS,
-            crash_stable_lag=spec.crash_stable_lag, adaptive=spec.adaptive)
-        system = BroadcastSystem(built, config=config)
-    elif spec.protocol == "basic":
-        system = BasicBroadcastSystem(built, config=BasicConfig(
-            data_size_bits=FUZZ_DATA_BITS,
-            crash_stable_lag=spec.crash_stable_lag))
-    else:
-        raise ValueError(f"unknown protocol {spec.protocol!r}")
-    return sim, built, system.start()
+    overrides = {"crash_stable_lag": spec.crash_stable_lag}
+    if spec.adaptive:  # only ever set for the tree protocol
+        overrides["adaptive"] = True
+    return sim, built, deploy(spec.protocol, built, **overrides)
 
 
 def run_trial(spec: TrialSpec) -> TrialOutcome:

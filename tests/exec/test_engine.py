@@ -1,7 +1,9 @@
 """The execution engine: ordered merge, failures, timeouts, seeds."""
 
+import multiprocessing
 import os
 import time
+from collections.abc import Mapping
 
 import pytest
 
@@ -42,6 +44,29 @@ def die_hard(x):
     os._exit(7)
 
 
+def nested_squares(xs):
+    items = [WorkItem(key=("inner", x), fn=slow_square, kwargs={"x": x})
+             for x in xs]
+    return values_or_raise(ProcessExecutor(jobs=2).map(items))
+
+
+def derived_in_worker():
+    return derive_seed(42, "E2", ("k", 2))
+
+
+class UnreadableKwargs(Mapping):
+    """Kwargs that fail when the executor copies them for launch."""
+
+    def __getitem__(self, name):
+        raise RuntimeError("unreadable kwargs")
+
+    def __iter__(self):
+        return iter(("x",))
+
+    def __len__(self):
+        return 1
+
+
 def items_for(fn, xs, **extra):
     return [WorkItem(key=(fn.__name__, x), fn=fn, kwargs=dict(x=x, **extra))
             for x in xs]
@@ -62,12 +87,6 @@ class TestSerialExecutor:
         assert outcome.failure.exc_type == "ValueError"
         assert "bad point 5" in outcome.failure.message
         assert "explode" in outcome.failure.traceback
-
-    def test_derived_seed_injected_into_kwargs(self):
-        item = WorkItem(key=("s",), fn=square, kwargs={"x": 1},
-                        seed=derive_seed(1, "s"))
-        (outcome,) = SerialExecutor().map([item])
-        assert outcome.value["seed"] == derive_seed(1, "s")
 
 
 class TestProcessExecutor:
@@ -104,6 +123,24 @@ class TestProcessExecutor:
         assert outcomes[0].failure.kind == "timeout"
         assert outcomes[1].ok
 
+    def test_running_workers_are_killed_when_map_raises(self):
+        # The first worker is running when launching the second raises;
+        # map must not leave it behind.
+        items = items_for(hang, [1]) + [
+            WorkItem(key=("bad",), fn=square, kwargs=UnreadableKwargs())]
+        with pytest.raises(RuntimeError, match="unreadable kwargs"):
+            ProcessExecutor(jobs=2).map(items)
+        assert multiprocessing.active_children() == []
+
+    def test_an_item_may_fan_out_over_its_own_executor(self):
+        # Workers are not daemonic, so a nested executor can start its
+        # own processes (E22 does, under `experiments --jobs N`).
+        nested = WorkItem(key=("nested",), fn=nested_squares,
+                          kwargs={"xs": (2, 3)})
+        (outcome,) = ProcessExecutor(jobs=1).map([nested])
+        assert outcome.ok, outcome.failure
+        assert outcome.value == [4, 9]
+
     def test_rejects_zero_jobs(self):
         with pytest.raises(ValueError):
             ProcessExecutor(jobs=0)
@@ -128,10 +165,10 @@ class TestHelpers:
 class TestSeeds:
     def test_stable_across_calls_and_processes(self):
         local = derive_seed(42, "E2", ("k", 2))
-        item = WorkItem(key=("probe",), fn=square, kwargs={"x": 0},
-                        seed=derive_seed(42, "E2", ("k", 2)))
+        assert derive_seed(42, "E2", ("k", 2)) == local
+        item = WorkItem(key=("probe",), fn=derived_in_worker)
         (outcome,) = ProcessExecutor(jobs=1).map([item])
-        assert outcome.value["seed"] == local
+        assert outcome.value == local
 
     def test_distinct_components_distinct_seeds(self):
         seeds = {derive_seed(1, "E2", i) for i in range(50)}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import grid
 from repro.cli import main as unified_main
 
 
@@ -68,6 +69,15 @@ class TestUnifiedCli:
         # Same tables, same order, regardless of which worker finished first.
         assert capsys.readouterr().out == serial
 
+    def test_experiments_parallel_runs_an_experiment_that_fans_out(
+            self, capsys):
+        # E22 starts worker processes of its own; under --jobs it runs
+        # inside a fan-out worker, which must be allowed children.
+        assert unified_main(["experiments", "E9", "E22", "--jobs", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "failed" not in captured.err
+        assert "E22:" in captured.out and "E9:" in captured.out
+
     def test_experiments_cache_round_trip(self, tmp_path, capsys):
         argv = ["experiments", "E9", "--cache", "--cache-dir", str(tmp_path)]
         assert unified_main(argv) == 0
@@ -91,6 +101,16 @@ class TestUnifiedCli:
         out = capsys.readouterr().out
         assert "E9-sweep" in out
         assert "seed" in out
+
+    def test_grid_cartesian_deterministic(self):
+        points = list(grid(a=[1, 2], b=["x", "y"]))
+        assert points == [
+            {"a": 1, "b": "x"}, {"a": 1, "b": "y"},
+            {"a": 2, "b": "x"}, {"a": 2, "b": "y"},
+        ]
+
+    def test_grid_empty(self):
+        assert list(grid()) == []
 
     def test_sweep_unknown_experiment(self, capsys):
         assert unified_main(["sweep", "E99"]) == 2

@@ -7,14 +7,19 @@ import pytest
 from repro.experiments import REGISTRY, ExperimentSpec, get_spec
 from repro.experiments import runners as runners_module
 from repro.experiments.records import ExperimentResult
-from repro.experiments.registry import run_registered
+from repro.experiments.registry import register, run_registered
 
 
-def dummy_runner(rng_seed=7, width=3):
+def dummy_runner(seed=7, width=3):
     """A dummy table for spec introspection."""
-    result = ExperimentResult("EX", "dummy", ["rng_seed", "width"])
-    result.add_row(rng_seed=rng_seed, width=width)
+    result = ExperimentResult("EX", "dummy", ["seed", "width"])
+    result.add_row(seed=seed, width=width)
     return result
+
+
+def seedless_runner(rng_seed=7):
+    """A runner that names its seed anything but ``seed``."""
+    return ExperimentResult("EZ", "dummy", [])
 
 
 def executor_runner(seed=1, executor=None):
@@ -25,30 +30,25 @@ def executor_runner(seed=1, executor=None):
 
 class TestSpecIntrospection:
     def test_defaults_and_title_from_signature(self):
-        spec = ExperimentSpec.from_runner("EX", dummy_runner,
-                                          seed_param="rng_seed")
-        assert spec.defaults == {"rng_seed": 7, "width": 3}
+        spec = ExperimentSpec.from_runner("EX", dummy_runner)
+        assert spec.defaults == {"seed": 7, "width": 3}
         assert spec.title == "A dummy table for spec introspection"
         assert spec.default_seed == 7
         assert not spec.accepts_executor
 
     def test_missing_seed_param_fails_at_registration(self):
         with pytest.raises(ValueError, match="no parameter 'seed'"):
-            ExperimentSpec.from_runner("EX", dummy_runner)
+            ExperimentSpec.from_runner("EZ", seedless_runner)
 
-    def test_seed_lands_on_declared_param(self):
-        # The normalization bugfix: --seed must thread through even when
-        # the runner does not call its parameter "seed".
-        spec = ExperimentSpec.from_runner("EX", dummy_runner,
-                                          seed_param="rng_seed")
-        assert spec.run(seed=99).rows[0]["rng_seed"] == 99
-        assert spec.run().rows[0]["rng_seed"] == 7
+    def test_seed_overrides_the_runner_default(self):
+        spec = ExperimentSpec.from_runner("EX", dummy_runner)
+        assert spec.run(seed=99).rows[0]["seed"] == 99
+        assert spec.run().rows[0]["seed"] == 7
 
     def test_executor_forwarded_only_when_accepted(self):
         from repro.exec import SerialExecutor
 
-        plain = ExperimentSpec.from_runner("EX", dummy_runner,
-                                           seed_param="rng_seed")
+        plain = ExperimentSpec.from_runner("EX", dummy_runner)
         fanout = ExperimentSpec.from_runner("EY", executor_runner)
         assert fanout.accepts_executor
         assert "executor" not in fanout.defaults
@@ -58,24 +58,27 @@ class TestSpecIntrospection:
         assert fanout.run(executor=executor).rows[0]["saw_executor"]
 
     def test_cache_params_resolve_defaults_seed_and_overrides(self):
-        spec = ExperimentSpec.from_runner("EX", dummy_runner,
-                                          seed_param="rng_seed")
-        assert spec.cache_params(seed=5, width=9) == \
-            {"rng_seed": 5, "width": 9}
-        assert spec.cache_params() == {"rng_seed": 7, "width": 3}
+        spec = ExperimentSpec.from_runner("EX", dummy_runner)
+        assert spec.cache_params(seed=5, width=9) == {"seed": 5, "width": 9}
+        assert spec.cache_params() == {"seed": 7, "width": 3}
 
 
 class TestRegistry:
     def test_all_e_series_registered(self):
-        for exp_id in ("E1", "E2", "E6b", "E12", "E21", "E22", "E23", "E24",
-                       "E25"):
-            assert exp_id in REGISTRY
-        assert len(REGISTRY) == 26
+        # Runners register in definition order, which is the canonical
+        # order --list and RESULTS.md follow.
+        assert list(REGISTRY) == (
+            ["E1", "E2", "E3", "E4", "E5", "E6", "E6b"]
+            + [f"E{i}" for i in range(7, 26)])
+
+    def test_a_duplicate_id_is_rejected(self):
+        with pytest.raises(ValueError, match="already registered"):
+            register("E1")(dummy_runner)
+        assert REGISTRY["E1"].runner is runners_module.run_e1_cost
 
     def test_specs_know_their_runner_defaults(self):
         spec = get_spec("E2")
         assert spec.runner is runners_module.run_e2_delay
-        assert spec.seed_param == "seed"
         assert "ks" in spec.defaults and "ms" in spec.defaults
         assert spec.accepts_executor
 

@@ -1,4 +1,4 @@
-"""Workload-generator validation and determinism.
+"""Arrival-schedule validation and determinism.
 
 Saturation sweeps lean on two properties: invalid parameters fail
 loudly *naming the parameter* (a combined error made sweep callers
@@ -8,7 +8,7 @@ arrival schedules for every generator shape.
 
 import pytest
 
-from repro.experiments import arrival_times, bursty_stream
+from repro.experiments import arrival_times
 from repro.experiments.saturation import (
     ARRIVAL_SHAPES,
     bursty_arrival_times,
@@ -16,42 +16,6 @@ from repro.experiments.saturation import (
     poisson_arrival_times,
 )
 from repro.sim import Simulator
-
-
-class Recorder:
-    def __init__(self):
-        self.contents = []
-
-    def broadcast(self, content=None):
-        self.contents.append(content)
-        return len(self.contents)
-
-
-class TestBurstyStreamValidation:
-    def run_with(self, **overrides):
-        kwargs = dict(bursts=2, burst_size=3, burst_gap=1.0,
-                      intra_burst_interval=0.01)
-        kwargs.update(overrides)
-        bursty_stream(Simulator(seed=0), Recorder(), **kwargs)
-
-    @pytest.mark.parametrize("param,value", [
-        ("bursts", -1),
-        ("burst_size", 0),
-        ("burst_gap", 0.0),
-        ("intra_burst_interval", -0.5),
-    ])
-    def test_each_parameter_validated_by_name(self, param, value):
-        with pytest.raises(ValueError, match=param):
-            self.run_with(**{param: value})
-
-    def test_valid_parameters_schedule_and_count(self):
-        sim = Simulator(seed=0)
-        recorder = Recorder()
-        total = bursty_stream(sim, recorder, bursts=2, burst_size=3,
-                              burst_gap=1.0)
-        sim.run(until=10.0)
-        assert total == 6
-        assert len(recorder.contents) == 6
 
 
 class TestArrivalValidation:

@@ -29,17 +29,6 @@ from ..net import HostId
 CrashHook = Optional[Callable[[HostId], None]]
 
 
-def _default_churn_hosts(system: Any) -> List[HostId]:
-    """Every host but the source, on any system flavor.
-
-    Sim-backed systems carry the topology in ``built``; UDP deployments
-    list their members directly in ``hosts``.
-    """
-    built = getattr(system, "built", None)
-    members = built.hosts if built is not None else list(system.hosts)
-    return [h for h in members if h != system.source_id]
-
-
 class HostCrashSchedule:
     """Scheduled host crashes and recoveries (chainable, like the link
     and server schedules in :mod:`repro.net.failures`)."""
@@ -107,7 +96,7 @@ class HostFlapper:
         self.system = system
         self._on_crash = on_crash
         if hosts is None:
-            hosts = _default_churn_hosts(system)
+            hosts = [h for h in system.hosts if h != system.source_id]
         self.hosts: List[HostId] = sorted(hosts)
         if not self.hosts:
             raise ValueError("HostFlapper needs at least one host to churn")

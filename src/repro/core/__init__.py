@@ -29,7 +29,7 @@ from .attachment import (
 )
 from .cluster import ClusterView
 from .config import ClusterMode, CostBitMode, ProtocolConfig
-from .costinfer import PerSenderTransitClassifier, TransitTimeClassifier
+from .costinfer import TransitTimeClassifier
 from .delivery import DeliveryLog, DeliveryRecord
 from .engine import BroadcastSystem
 from .host import BroadcastHost
@@ -76,7 +76,6 @@ __all__ = [
     "MapState",
     "MultiSourceBroadcastSystem",
     "PeerRtt",
-    "PerSenderTransitClassifier",
     "ProtocolConfig",
     "ResourceConfig",
     "RttEstimator",

@@ -88,8 +88,6 @@ class ProtocolConfig:
     #: bounds duplicate fills caused by stale MAP views while still
     #: retrying genuinely lost fills after the window expires
     gapfill_suppression: float = 8.0
-    #: enable the non-neighbor gap-filling extension (Section 4.4, end)
-    enable_nonneighbor_gapfill: bool = True
 
     # -- parent-graph consistency ------------------------------------------------
     #: a child is only reconciled away (dropped because its routine
@@ -119,14 +117,9 @@ class ProtocolConfig:
     #: how hosts learn link classes (Section 2): network cost bit, or
     #: host-level inference from message transit times
     cost_bit_mode: CostBitMode = CostBitMode.NETWORK
-    #: TIMESTAMP mode: transit beyond this multiple of the cheap
-    #: baseline is classified expensive
-    transit_spread_factor: float = 5.0
     #: piggyback same-destination control messages into one packet
     #: (Section 6 optimization)
     enable_piggybacking: bool = False
-    #: how long a control message may wait for companions
-    piggyback_window: float = 0.05
     #: prune INFO sets once all hosts are known to have a prefix (Section 6)
     enable_info_pruning: bool = True
 
@@ -137,26 +130,12 @@ class ProtocolConfig:
     #: trace bit-identical.  The fixed values stay meaningful either
     #: way — they become the *ceilings* of the adaptive deadlines.
     adaptive: bool = False
-    #: adaptive deadlines never shrink below this fraction of the
-    #: corresponding fixed value (the floor of the clamp)
-    rto_floor_frac: float = 0.1
-    #: adaptive parent-liveness deadline: this many heartbeat periods
-    #: plus the parent's RTO (clamped to the fixed timeout as ceiling)
-    adaptive_parent_beats: float = 3.0
-    #: adaptive gap-fill retry window: one exchange period plus this
-    #: many RTOs of the target (clamped to ``gapfill_suppression``)
-    gapfill_rto_mult: float = 3.0
     #: base/cap of the attach-round exponential backoff (applied after
     #: an attachment round exhausts every candidate)
     attach_backoff_base: float = 2.0
     attach_backoff_cap: float = 16.0
-    #: +/- jitter fraction on every backoff delay (decorrelates hosts)
-    backoff_jitter_frac: float = 0.25
     #: half-life of the congestion signal's decaying receive tallies
     congestion_window: float = 10.0
-    #: recent bad-receive fraction beyond which optional repair traffic
-    #: (non-neighbor gap fills) is throttled and batches are halved
-    congestion_threshold: float = 0.3
     #: how long a control message's uid is remembered for duplicate
     #: suppression (bounds the dedup table; replays older than this are
     #: caught by the protocol's own idempotence)
@@ -211,24 +190,10 @@ class ProtocolConfig:
             raise ValueError("parent_refresh_timeout must be positive")
         if self.delay_opt_margin < 1:
             raise ValueError("delay_opt_margin must be at least 1")
-        if self.transit_spread_factor <= 1.0:
-            raise ValueError("transit_spread_factor must exceed 1")
-        if self.piggyback_window <= 0:
-            raise ValueError("piggyback_window must be positive")
-        if not 0 < self.rto_floor_frac <= 1:
-            raise ValueError("rto_floor_frac must be in (0, 1]")
-        if self.adaptive_parent_beats < 1:
-            raise ValueError("adaptive_parent_beats must be at least 1")
-        if self.gapfill_rto_mult <= 0:
-            raise ValueError("gapfill_rto_mult must be positive")
         if self.attach_backoff_base <= 0 or self.attach_backoff_cap < self.attach_backoff_base:
             raise ValueError("need 0 < attach_backoff_base <= attach_backoff_cap")
-        if not 0 <= self.backoff_jitter_frac < 1:
-            raise ValueError("backoff_jitter_frac must be in [0, 1)")
         if self.congestion_window <= 0:
             raise ValueError("congestion_window must be positive")
-        if not 0 < self.congestion_threshold < 1:
-            raise ValueError("congestion_threshold must be in (0, 1)")
         if self.control_dedup_window <= 0:
             raise ValueError("control_dedup_window must be positive")
         if self.crash_stable_lag < 0:

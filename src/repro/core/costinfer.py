@@ -31,10 +31,6 @@ themselves allowed to be wrong and self-correct with later messages.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from ..net import HostId
-
 
 class TransitTimeClassifier:
     """Classify deliveries as cheap/expensive from their transit times."""
@@ -88,48 +84,3 @@ class TransitTimeClassifier:
             return False
         self._baseline = min(self._baseline * self.decay, sample)
         return transit > self.spread_factor * self._baseline
-
-
-class PerSenderTransitClassifier:
-    """Transit classification calibrated per sender — clock-skew robust.
-
-    With skewed host clocks the estimated transit for messages from *j*
-    is the true transit plus the constant ``offset(me) - offset(j)``.
-    A single global baseline then misclassifies whole senders (a cheap
-    neighbor with a fast clock looks expensive forever).  Calibrating a
-    separate baseline per sender cancels the constant term: each
-    sender's own cheap/expensive populations stay an order of magnitude
-    apart regardless of the shared offset.
-
-    Negative estimates (receiver's clock behind the sender's) are
-    clamped to zero — they simply mean "very fast", i.e. cheap.
-
-    The residual limitation is inherent to the paper's mechanism: a
-    sender whose *every* path to us is expensive calibrates its own
-    baseline high and is classified cheap until a genuinely cheap
-    delivery arrives.  The protocol tolerates that (CLUSTER sets
-    self-correct); see :class:`TransitTimeClassifier` for the same
-    caveat without skew.
-    """
-
-    def __init__(self, spread_factor: float = 5.0, decay: float = 1.02,
-                 initial_floor: float = 1e-6) -> None:
-        self.spread_factor = spread_factor
-        self.decay = decay
-        self.initial_floor = initial_floor
-        self._per_sender: Dict[HostId, TransitTimeClassifier] = {}
-
-    def classify(self, sender: HostId, transit: float) -> bool:
-        """Observe a delivery from ``sender``; True when expensive."""
-        classifier = self._per_sender.get(sender)
-        if classifier is None:
-            classifier = TransitTimeClassifier(
-                spread_factor=self.spread_factor, decay=self.decay,
-                initial_floor=self.initial_floor)
-            self._per_sender[sender] = classifier
-        return classifier.classify(max(transit, 0.0))
-
-    def baseline_of(self, sender: HostId) -> float:
-        """The calibrated cheap baseline for one sender (inf if unseen)."""
-        classifier = self._per_sender.get(sender)
-        return classifier.cheap_baseline if classifier else float("inf")

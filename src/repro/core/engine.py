@@ -89,10 +89,10 @@ class BroadcastSystem(SimDeployment):
         if port_of is None:
             port_of = self.network.host_port
         if self.config.enable_piggybacking:
-            inner_port_of, window = port_of, self.config.piggyback_window
+            inner_port_of = port_of
 
             def piggybacked(h: HostId) -> Transport:
-                return PiggybackPort(inner_port_of(h), window=window)
+                return PiggybackPort(inner_port_of(h))
 
             port_of = piggybacked
         self.hosts = build_tree_hosts(

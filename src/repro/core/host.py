@@ -55,6 +55,22 @@ from .wire import (
 
 OrderFn = Callable[[HostId], int]
 
+# -- adaptive control plane (repro.core.rtt; DESIGN.md §9) -------------------
+#: adaptive deadlines never shrink below this fraction of the
+#: corresponding fixed value (the floor of the clamp)
+RTO_FLOOR_FRAC = 0.1
+#: adaptive parent-liveness deadline: this many heartbeat periods plus
+#: the parent's RTO (clamped to the fixed timeout as ceiling)
+ADAPTIVE_PARENT_BEATS = 3.0
+#: adaptive gap-fill retry window: one exchange period plus this many
+#: RTOs of the target (clamped to ``gapfill_suppression``)
+GAPFILL_RTO_MULT = 3.0
+#: +/- jitter fraction on every backoff delay (decorrelates hosts)
+BACKOFF_JITTER_FRAC = 0.25
+#: recent bad-receive fraction beyond which optional repair traffic
+#: (non-neighbor gap fills) is throttled and batches are halved
+CONGESTION_THRESHOLD = 0.3
+
 
 def _exact_delay(now: float, deadline: float) -> float:
     """The timer delay ``d`` for which ``now + d == deadline``.
@@ -144,8 +160,7 @@ class BroadcastHost:
         #: senders, which implicitly assumes clocks synchronized to
         #: within a few cheap-path transits; experiment E16 quantifies
         #: the degradation when they are not.
-        self._cost_classifier = TransitTimeClassifier(
-            spread_factor=self.config.transit_spread_factor)
+        self._cost_classifier = TransitTimeClassifier()
         self._cost_bit_trusted = self.config.cost_bit_mode is CostBitMode.NETWORK
         # -- adaptive control plane (repro.core.rtt; DESIGN.md §9) --------
         # Each is fed only while something reads it (pure bookkeeping,
@@ -161,12 +176,12 @@ class BroadcastHost:
             self._resources is not None and self._resources.admission_enabled)
         self._attach_backoff = ExponentialBackoff(
             self.config.attach_backoff_base, self.config.attach_backoff_cap,
-            self.config.backoff_jitter_frac,
+            BACKOFF_JITTER_FRAC,
             self.runtime.rng(f"host.{self.me}.attach_backoff"))
         self._gapfill_backoff = ExponentialBackoff(
             self.config.gapfill_nonneighbor_period,
             self.config.gapfill_nonneighbor_period * 8,
-            self.config.backoff_jitter_frac,
+            BACKOFF_JITTER_FRAC,
             self.runtime.rng(f"host.{self.me}.gapfill_backoff"))
         #: earliest time a new attachment round / non-neighbor fill may run
         self._attach_resume_at = 0.0
@@ -225,14 +240,12 @@ class BroadcastHost:
                               self._gapfill_neighbors_inter_tick,
                               jitter=cfg.gapfill_neighbor_inter_period * 0.1,
                               rng_stream=f"{stream}.gf_inter", name="gapfill_inter"),
+            rt.start_periodic(cfg.gapfill_nonneighbor_period,
+                              self._gapfill_nonneighbors_tick,
+                              jitter=cfg.gapfill_nonneighbor_period * 0.1,
+                              rng_stream=f"{stream}.gf_nonneighbor",
+                              name="gapfill_nonneighbor"),
         ]
-        if cfg.enable_nonneighbor_gapfill:
-            tasks.append(
-                rt.start_periodic(cfg.gapfill_nonneighbor_period,
-                                  self._gapfill_nonneighbors_tick,
-                                  jitter=cfg.gapfill_nonneighbor_period * 0.1,
-                                  rng_stream=f"{stream}.gf_nonneighbor",
-                                  name="gapfill_nonneighbor"))
         return tasks
 
     def start(self) -> "BroadcastHost":
@@ -314,8 +327,7 @@ class BroadcastHost:
         self._recent_fills.clear()
         self._fill_entries = 0
         self._parent_progress_at = 0.0
-        self._cost_classifier = TransitTimeClassifier(
-            spread_factor=self.config.transit_spread_factor)
+        self._cost_classifier = TransitTimeClassifier()
         # Adaptive-plane state is volatile too: stale RTT estimates,
         # held echo stamps, and the dedup table all die with the host.
         self._rtt = PeerRtt()
@@ -787,7 +799,7 @@ class BroadcastHost:
 
     def _congested(self) -> bool:
         return (self._congestion.level(self.runtime.now())
-                > self.config.congestion_threshold)
+                > CONGESTION_THRESHOLD)
 
     def _gapfill_retry_window(self, target: HostId, intra: bool) -> float:
         """Adaptive (target, seq) re-send suppression window.
@@ -801,9 +813,9 @@ class BroadcastHost:
         cfg = self.config
         period = cfg.info_intra_period if intra else cfg.info_inter_period
         fixed = cfg.gapfill_suppression
-        window = period + cfg.gapfill_rto_mult * self._rtt.rto(
+        window = period + GAPFILL_RTO_MULT * self._rtt.rto(
             target, floor=0.0, ceiling=fixed)
-        return min(max(window, cfg.rto_floor_frac * fixed), fixed)
+        return min(max(window, RTO_FLOOR_FRAC * fixed), fixed)
 
     def _gapfill_neighbors_intra_tick(self) -> None:
         for neighbor in sorted(self.neighbors()):
@@ -906,7 +918,7 @@ class BroadcastHost:
         fixed = self.config.attach_ack_timeout
         if not self.config.adaptive:
             return fixed
-        return self._rtt.rto(target, floor=self.config.rto_floor_frac * fixed,
+        return self._rtt.rto(target, floor=RTO_FLOOR_FRAC * fixed,
                              ceiling=fixed)
 
     def _maybe_refresh_parent(self) -> None:
@@ -1035,9 +1047,9 @@ class BroadcastHost:
         # allow a few missed beats plus one RTO of slack, but never
         # wait longer than the fixed timeout would have.
         period = cfg.info_intra_period if intra else cfg.info_inter_period
-        deadline = (cfg.adaptive_parent_beats * period
+        deadline = (ADAPTIVE_PARENT_BEATS * period
                     + self._rtt.rto(self.parent, floor=0.0, ceiling=fixed))
-        return min(max(deadline, cfg.rto_floor_frac * fixed), fixed)
+        return min(max(deadline, RTO_FLOOR_FRAC * fixed), fixed)
 
     def _arm_parent_timer(self) -> None:
         """Move the parent's liveness deadline to one timeout from now.

@@ -195,8 +195,7 @@ class MultiSourceBroadcastSystem:
         # (across instances), not inside each instance.
         if config.enable_piggybacking:
             def attach_point(host_id: HostId):
-                return PiggybackPort(built.network.host_port(host_id),
-                                     window=config.piggyback_window)
+                return PiggybackPort(built.network.host_port(host_id))
             instance_config = dataclasses.replace(
                 config, enable_piggybacking=False)
         else:

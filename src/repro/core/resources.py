@@ -41,14 +41,13 @@ class ShedPolicy(Enum):
 
     ``DROP_NEWEST``/``DROP_OLDEST`` apply to the message store;
     the outbound queue is inherently drop-newest (the send that found
-    the queue full is the one skipped) and admission control is
-    inherently :attr:`REJECT_AT_SOURCE` (the broadcast that found the
-    bucket empty is the one rejected).
+    the queue full is the one skipped) and admission control inherently
+    rejects at the source (the broadcast that found the bucket empty is
+    the one rejected).
     """
 
     DROP_NEWEST = "drop_newest"
     DROP_OLDEST = "drop_oldest"
-    REJECT_AT_SOURCE = "reject_at_source"
 
 
 @dataclass(frozen=True)
@@ -80,17 +79,14 @@ class ResourceConfig:
     #: burst allowance of the admission token bucket
     admission_burst: int = 8
     #: multiplier applied to the admission refill rate while the
-    #: source's congestion signal is above ``congestion_threshold`` —
+    #: source's congestion signal is above
+    #: :data:`repro.core.host.CONGESTION_THRESHOLD` —
     #: the backpressure path from bad receives to admitted load
     congestion_brake: float = 0.5
 
     def __post_init__(self) -> None:
         if self.store_limit < 0:
             raise ValueError("store_limit must be >= 0 (0 = unbounded)")
-        if self.store_policy is ShedPolicy.REJECT_AT_SOURCE:
-            raise ValueError(
-                "store_policy must be DROP_NEWEST or DROP_OLDEST; "
-                "REJECT_AT_SOURCE only applies to admission control")
         if self.fill_table_limit < 0:
             raise ValueError("fill_table_limit must be >= 0 (0 = unbounded)")
         if self.outbound_queue_limit < 0:

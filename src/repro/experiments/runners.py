@@ -1314,6 +1314,7 @@ def run_e22_parallel_speedup(seed: int = 21,
                        heal_by, measure_at, horizon, points)
     serial_rows: Optional[List[Dict[str, Any]]] = None
     serial_wall = float("nan")
+    speedups = []
     for jobs in jobs_list:
         executor = make_executor(jobs)
         start = time.perf_counter()
@@ -1327,8 +1328,11 @@ def run_e22_parallel_speedup(seed: int = 21,
         result.add_row(jobs=jobs, grid_points=len(items), wall_s=wall,
                        speedup=serial_wall / wall,
                        rows_match_serial=(repr(rows) == repr(serial_rows)))
-    result.note(f"host has {os.cpu_count()} CPU core(s); speedup saturates "
-                "at the core count, parity must hold everywhere")
+        speedups.append(f"{serial_wall / wall:.2f}x at jobs={jobs}")
+    result.note(f"host has {os.cpu_count()} CPU core(s); serial wall "
+                f"{1000 * serial_wall / max(len(items), 1):.0f} ms per grid "
+                f"point; speedup {', '.join(speedups)}; parity must hold "
+                "everywhere")
     return result
 
 

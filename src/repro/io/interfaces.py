@@ -28,7 +28,9 @@ machines never import a backend.
 :class:`repro.io.simbackend.SimDeployment`, tree over UDP through
 :class:`repro.io.node.UdpBroadcastSystem`): lifecycle, crash/recover,
 the broadcast workload and the convergence queries, written once
-against duck-typed hosts.  A backend supplies one hook, ``_call_at``.
+against duck-typed hosts.  A backend supplies one hook, ``_call_at``,
+and the two ground-truth queries the oracles in :mod:`repro.verify`
+read, ``true_clusters()`` and ``reachable(a, b)``.
 
 Contract notes (what every backend must guarantee):
 
@@ -61,6 +63,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Set,
     runtime_checkable,
 )
 
@@ -252,6 +255,16 @@ class Deployment:
 
     def _call_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute protocol time ``time``."""
+        raise NotImplementedError
+
+    # -- ground truth: read by the oracles in repro.verify, never by a host
+
+    def true_clusters(self) -> List[Set[HostId]]:
+        """The real clusters, as sets of host ids."""
+        raise NotImplementedError
+
+    def reachable(self, a: HostId, b: HostId) -> bool:
+        """True when hosts ``a`` and ``b`` can reach each other now."""
         raise NotImplementedError
 
     @property

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..core.config import ClusterMode, ProtocolConfig
 from ..core.delivery import DeliverCallback
@@ -100,13 +100,13 @@ class UdpBroadcastSystem(Deployment):
                                          cluster_mode=ClusterMode.STATIC)
         self.config = config
 
+        self._clusters = [[HostId(n) for n in cluster] for cluster in clusters]
         self.transports: Dict[HostId, UdpTransport] = {
             h: UdpTransport(self.runtime, h, peers={}) for h in host_ids}
         self.hosts = build_tree_hosts(
             self.runtime, host_ids, source_id,
             self.transports.__getitem__, config,
-            clusters=[[HostId(n) for n in cluster] for cluster in clusters],
-            deliver_callback=deliver_callback)
+            clusters=self._clusters, deliver_callback=deliver_callback)
         self._opened = False
 
     # ------------------------------------------------------------------
@@ -140,6 +140,15 @@ class UdpBroadcastSystem(Deployment):
 
     def _call_at(self, time: float, callback: Callable[[], None]) -> None:
         self.runtime.start_timer(max(0.0, time - self.runtime.now()), callback)
+
+    def true_clusters(self) -> List[Set[HostId]]:
+        """The static clusters the deployment was built with."""
+        return [set(cluster) for cluster in self._clusters]
+
+    def reachable(self, a: HostId, b: HostId) -> bool:
+        """Always True: real sockets give no omniscient view, and
+        assuming reachability only makes the cycle check stricter."""
+        return True
 
     async def run_until_delivered(self, n: int, timeout: float,
                                   hosts: Optional[List[HostId]] = None,

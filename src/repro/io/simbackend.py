@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Set
 
 from ..net.addressing import HostId
 from ..sim import PeriodicTask, Simulator, Timer
@@ -122,6 +122,12 @@ class SimDeployment(Deployment):
         # The absolute time, not now + (time - now): a different float
         # would move every pinned delivery signature.
         self.sim.schedule_at(time, callback)
+
+    def true_clusters(self) -> List[Set[HostId]]:
+        return self.network.true_clusters()
+
+    def reachable(self, a: HostId, b: HostId) -> bool:
+        return self.network.reachable(a, b)
 
     def run_until_delivered(
         self,

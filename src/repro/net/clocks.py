@@ -12,10 +12,7 @@ model is installed, so transit estimates at receivers become
     (true_arrival + offset_recv) - (true_send + offset_send)
     = true_transit + (offset_recv - offset_send)
 
-— exactly the error a deployed system would see.  The per-sender
-variant of the transit classifier
-(:class:`repro.core.costinfer.PerSenderTransitClassifier`) is built to
-survive this.
+— exactly the error a deployed system would see.
 """
 
 from __future__ import annotations

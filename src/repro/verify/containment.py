@@ -1,8 +1,8 @@
 """Per-invariant containment classification under adversarial hosts.
 
-The checkers in :mod:`repro.verify.invariants` answer "does the
-invariant hold?" — all-or-nothing, which is the right question when
-every host is correct.  Under k misbehaving hosts
+The invariant table (:data:`repro.verify.invariants.INVARIANTS`)
+answers "does the invariant hold?" — all-or-nothing, which is the
+right question when every host is correct.  Under k misbehaving hosts
 (:mod:`repro.chaos.adversary`) the interesting question is *where the
 damage stops*, in the spirit of the locally-bounded Byzantine model
 (Bonomi/Farina/Tixeuil): an invariant may
@@ -15,11 +15,12 @@ damage stops*, in the spirit of the locally-bounded Byzantine model
   adversary corrupted state *beyond* itself, which is the outcome the
   paper's host-carried-obligations architecture must prevent.
 
-Attribution is structural, not textual: each violation is a tuple of
-the host names it touches (the same keying the
-:class:`~repro.verify.monitor.InvariantMonitor` uses for its
-:class:`~repro.verify.monitor.ViolationSpan` keys), and a violation is
-contained iff its host set intersects the adversary set.
+Attribution is structural, not textual: each violation is the tuple
+of host names the table's row returns (the
+:class:`~repro.verify.monitor.InvariantMonitor` keys its
+:class:`~repro.verify.monitor.ViolationSpan` records with the same
+tuples, after the kind), and a violation is contained iff its host set
+intersects the adversary set.
 
 Like all of :mod:`repro.verify`, this is an oracle: it reads ground
 truth (real INFO sets, real parent pointers, real delivery logs) that
@@ -29,10 +30,9 @@ no protocol host — honest or not — can see.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.engine import BroadcastSystem
-from .invariants import find_parent_cycles
+from .invariants import INVARIANTS
 from .monitor import ViolationSpan
 
 #: classification outcomes, ordered from best to worst
@@ -67,58 +67,8 @@ def _classify(invariant: str,
         tuple(violations))
 
 
-# ----------------------------------------------------------------------
-# Structural (host-attributed) violation extraction
-# ----------------------------------------------------------------------
-
-
-def _harmful_cycle_violations(system: BroadcastSystem) -> List[Tuple[str, ...]]:
-    out = []
-    for cycle in find_parent_cycles(system):
-        cycle_max = max(system.hosts[h].info.max_seqno for h in cycle)
-        harmful = any(
-            system.hosts[other].info.max_seqno > cycle_max
-            and any(system.network.reachable(member, other)
-                    for member in cycle)
-            for other in system.built.hosts if other not in cycle)
-        if harmful:
-            out.append(tuple(sorted(str(h) for h in cycle)))
-    return out
-
-
-def _info_dominance_violations(system: BroadcastSystem) -> List[Tuple[str, ...]]:
-    out = []
-    for child_id, parent_id in system.parent_edges().items():
-        if parent_id is None or parent_id not in system.hosts:
-            continue
-        if (system.hosts[child_id].info.max_seqno
-                > system.hosts[parent_id].info.max_seqno):
-            out.append((str(child_id), str(parent_id)))
-    return out
-
-
-def _leadership_violations(system: BroadcastSystem) -> List[Tuple[str, ...]]:
-    from .invariants import true_leaders
-
-    out = []
-    for _idx, leaders in true_leaders(system).items():
-        if len(leaders) != 1:
-            out.append(tuple(sorted(str(h) for h in leaders)))
-    return out
-
-
-def _children_violations(system: BroadcastSystem) -> List[Tuple[str, ...]]:
-    out = []
-    for child_id, parent_id in system.parent_edges().items():
-        if parent_id is None or parent_id not in system.hosts:
-            continue
-        if child_id not in system.hosts[parent_id].children:
-            out.append((str(child_id), str(parent_id)))
-    return out
-
-
 def classify_containment(
-    system: BroadcastSystem,
+    system: Any,
     adversaries: Iterable[str],
     quiescent: bool = False,
     n: Optional[int] = None,
@@ -131,20 +81,11 @@ def classify_containment(
     as an invariant so its containment is reported alongside).
     """
     adv = frozenset(str(a) for a in adversaries)
-    results = [
-        _classify("no_harmful_cycles",
-                  _harmful_cycle_violations(system), adv),
-        _classify("info_dominance",
-                  _info_dominance_violations(system), adv),
-    ]
-    if quiescent:
-        results.append(_classify("single_leader_per_cluster",
-                                 _leadership_violations(system), adv))
-        results.append(_classify("children_consistency",
-                                 _children_violations(system), adv))
+    results = [_classify(inv.name, inv.violations(system), adv)
+               for inv in INVARIANTS if quiescent or not inv.quiescent]
     if n is not None:
-        missing = [(str(h),) for h in system.built.hosts
-                   if not system.hosts[h].deliveries.has_all(n)]
+        missing = [(str(h),) for h, host in system.hosts.items()
+                   if not host.deliveries.has_all(n)]
         results.append(_classify("delivery", missing, adv))
     return tuple(results)
 
@@ -175,7 +116,7 @@ def classify_spans(
     """
     adv = frozenset(str(a) for a in adversaries)
     by_kind: Dict[str, List[Tuple[str, ...]]] = {
-        "harmful_cycle": [], "info_dominance": []}
+        inv.kind: [] for inv in INVARIANTS if not inv.quiescent}
     for span in spans:
         if stable_only and not (span.stable or span.unresolved_at_end):
             continue

@@ -129,7 +129,7 @@ class OpportunityAuditor:
         """Score the run so far."""
         system = self.system
         issued = system.source.info.max_seqno
-        hosts = [h for h in system.built.hosts if h != system.source_id]
+        hosts = [h for h in system.hosts if h != system.source_id]
         total = len(hosts) * issued
         delivered_total = 0
         obligated = 0

@@ -4,9 +4,10 @@ The checkers in :mod:`repro.verify.invariants` are end-of-run oracles.
 Under chaos they are too blunt: a violation that appears while a host
 is mid-recovery and disappears two samples later is expected transient
 behaviour, while one that persists after the network heals is a real
-protocol bug.  :class:`InvariantMonitor` samples the safety invariants
-(harmful parent cycles, INFO dominance) every ``sample_period``, keys
-each violation structurally (host ids, not message strings whose
+protocol bug.  :class:`InvariantMonitor` samples the safety rows of
+:data:`~repro.verify.invariants.INVARIANTS` (harmful parent cycles,
+INFO dominance) every ``sample_period``, keys each violation
+structurally (the row's kind and host names, not message strings whose
 embedded maxima change every tick), and tracks how long each one has
 been continuously present.  A violation is **stable** once its streak
 reaches ``stable_window``; everything shorter is transient.
@@ -26,9 +27,9 @@ expose), so the same oracle samples a simulated
 :class:`~repro.core.engine.BroadcastSystem` and a live
 :class:`~repro.io.node.UdpBroadcastSystem` — on the latter, sampling
 runs in scaled wall-clock time and all span durations are protocol
-seconds.  Systems without a ground-truth network object (real UDP has
-no omniscient reachability) treat every pair as reachable, which only
-makes the harmful-cycle check *stricter*.
+seconds.  Reachability is the deployment's ``reachable(a, b)``; a UDP
+deployment has no omniscient view and answers True for every pair,
+which only makes the harmful-cycle check *stricter*.
 
 Like all of :mod:`repro.verify`, this is an oracle: it reads ground
 truth the protocol never sees.
@@ -41,10 +42,13 @@ from typing import Any, Dict, List, Tuple
 
 from ..io.interfaces import Runtime
 from ..sim.trace import TraceRecord
-from .invariants import find_parent_cycles
+from .invariants import INVARIANTS
 
 #: the trace kind whose records carry a host's recovery time
 _RECOVERY = "host.recovery_delivery"
+
+#: the invariants that must hold mid-run, not only at rest
+_SAFETY = tuple(inv for inv in INVARIANTS if not inv.quiescent)
 
 #: structural violation key: ("harmful_cycle", h1, h2, ...) or
 #: ("info_dominance", child, parent)
@@ -160,49 +164,11 @@ class InvariantMonitor:
 
     # ------------------------------------------------------------------
 
-    def _members(self) -> List:
-        """All member host ids, on any system flavor."""
-        built = getattr(self.system, "built", None)
-        if built is not None:
-            return list(built.hosts)
-        return list(self.system.hosts)
-
-    def _reachable(self, a, b) -> bool:
-        """Ground-truth reachability when the backend knows it.
-
-        Real deployments have no omniscient network object; assuming
-        reachability there only widens the set of hosts a cycle is
-        compared against, i.e. makes the harmful-cycle check stricter.
-        """
-        network = getattr(self.system, "network", None)
-        if network is None:
-            return True
-        return bool(network.reachable(a, b))
-
-    def _current_violations(self) -> List[ViolationKey]:
-        system = self.system
-        keys: List[ViolationKey] = []
-        for cycle in find_parent_cycles(system):
-            cycle_max = max(system.hosts[h].info.max_seqno for h in cycle)
-            harmful = any(
-                system.hosts[other].info.max_seqno > cycle_max
-                and any(self._reachable(member, other) for member in cycle)
-                for other in self._members() if other not in cycle)
-            if harmful:
-                keys.append(("harmful_cycle",
-                             *sorted(str(h) for h in cycle)))
-        for child_id, parent_id in system.parent_edges().items():
-            if parent_id is None or parent_id not in system.hosts:
-                continue
-            if (system.hosts[child_id].info.max_seqno
-                    > system.hosts[parent_id].info.max_seqno):
-                keys.append(("info_dominance", str(child_id), str(parent_id)))
-        return keys
-
     def _sample(self) -> None:
         now = self.runtime.now()
         self._samples += 1
-        current = set(self._current_violations())
+        current = {(inv.kind, *hosts) for inv in _SAFETY
+                   for hosts in inv.violations(self.system)}
         for key in current:
             if key not in self._active:
                 self._active[key] = now

@@ -73,7 +73,6 @@ class TestResourceConfigValidation:
         dict(admission_burst=0),
         dict(congestion_brake=0.0),
         dict(congestion_brake=1.5),
-        dict(store_policy=ShedPolicy.REJECT_AT_SOURCE),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     BroadcastSystem,
     CostBitMode,
-    PerSenderTransitClassifier,
     ProtocolConfig,
 )
 from repro.net import ClockModel, HostId, wan_of_lans
@@ -127,33 +126,3 @@ class TestSkewAndInference:
         assert ok
         assert not correct
 
-
-class TestPerSenderClassifier:
-    def test_constant_offset_cancels_within_sender(self):
-        clf = PerSenderTransitClassifier(spread_factor=5.0)
-        sender = HostId("j")
-        # All estimates shifted by +0.3 s of clock offset.
-        assert clf.classify(sender, 0.304) is False   # cheap, calibrates
-        assert clf.classify(sender, 0.450) is False   # expensive? 0.45<5*0.304
-        # Within-sender discrimination still works at scale:
-        clf2 = PerSenderTransitClassifier(spread_factor=5.0)
-        assert clf2.classify(sender, 0.304) is False
-        assert clf2.classify(sender, 2.0) is True     # clearly beyond spread
-
-    def test_negative_transit_clamped(self):
-        clf = PerSenderTransitClassifier()
-        assert clf.classify(HostId("j"), -0.5) is False
-
-    def test_documented_limitation_expensive_only_sender(self):
-        """An expensive-only sender self-calibrates and looks cheap —
-        the inherent price of per-sender baselines (see docstring)."""
-        clf = PerSenderTransitClassifier(spread_factor=5.0)
-        sender = HostId("far")
-        for _ in range(10):
-            assert clf.classify(sender, 0.070) is False
-
-    def test_baseline_of(self):
-        clf = PerSenderTransitClassifier()
-        assert clf.baseline_of(HostId("x")) == float("inf")
-        clf.classify(HostId("x"), 0.01)
-        assert clf.baseline_of(HostId("x")) == pytest.approx(0.01)

@@ -1,7 +1,8 @@
 """Tests for per-invariant containment classification under adversaries."""
 
 from repro.core import BroadcastSystem, ProtocolConfig
-from repro.net import wan_of_lans
+from repro.io import UdpBroadcastSystem, cluster_names
+from repro.net import HostId, wan_of_lans
 from repro.sim import Simulator
 from repro.verify import (CONTAINMENT_STATUSES, InvariantContainment,
                           classify_containment, classify_spans, span_hosts,
@@ -92,3 +93,21 @@ def test_delivery_invariant_is_contained_when_only_adversaries_starve():
     results = {r.invariant: r for r in classify_containment(
         system, adversaries={"h1.0"}, n=n)}
     assert results["delivery"].status == "holds_globally"
+
+
+def test_classify_containment_on_an_unopened_udp_deployment():
+    """Ground truth is the deployment's: its static clusters, and every
+    pair reachable.  No socket is bound and no host runs."""
+    system = UdpBroadcastSystem(cluster_names(2, 2))
+    system.hosts[HostId("h1.0")].parent = HostId("h1.1")
+    system.hosts[HostId("h1.1")].parent = HostId("h1.0")
+    system.source.info.add(3)  # the source is ahead of the cycle
+    results = {r.invariant: r for r in classify_containment(
+        system, adversaries={"h1.1"}, quiescent=True)}
+    assert results["no_harmful_cycles"].violations == (("h1.0", "h1.1"),)
+    assert results["no_harmful_cycles"].status == "holds_correct_only"
+    # cluster 0 has two leaders (nobody has a parent), cluster 1 none
+    assert results["single_leader_per_cluster"].violations == (
+        ("h0.0", "h0.1"), ())
+    assert results["single_leader_per_cluster"].status == "broken"
+    assert results["info_dominance"].status == "holds_globally"

@@ -1,10 +1,15 @@
 """Tests for the verification oracles."""
 
+import pytest
+
 from repro.core import BroadcastSystem, ProtocolConfig
+from repro.io import UdpBroadcastSystem, cluster_names
 from repro.net import HostId, wan_of_lans
 from repro.sim import Simulator
 from repro.verify import (
+    InvariantMonitor,
     check_all,
+    classify_containment,
     check_children_consistency,
     check_induces_cluster_tree,
     check_info_dominance,
@@ -15,6 +20,7 @@ from repro.verify import (
     run_to_quiescence,
     true_leaders,
 )
+from repro.verify.invariants import INVARIANTS, describe
 
 
 def build(k=2, m=2, seed=0):
@@ -124,6 +130,86 @@ class TestStructureChecks:
         # Nobody has a parent yet: 3 leaders in the single cluster.
         violations = check_single_leader_per_cluster(system)
         assert len(violations) == 1
+
+
+# ----------------------------------------------------------------------
+# One table, every consumer, both backends
+# ----------------------------------------------------------------------
+
+
+def lay_cluster_tree(system):
+    """Hand-set the quiescent cluster tree of a 2 x 2 deployment whose
+    source is h0.0: every invariant holds."""
+    edges = {"h0.1": "h0.0", "h1.0": "h0.0", "h1.1": "h1.0"}
+    for child, parent in edges.items():
+        system.hosts[h(child)].parent = h(parent)
+        system.hosts[h(parent)].children.add(h(child))
+
+
+def force_cycle(system):
+    """A parent cycle while the reachable source is ahead."""
+    system.hosts[h("h1.0")].parent = h("h1.1")
+    system.hosts[h("h1.1")].parent = h("h1.0")
+    system.source.info.add(3)
+
+
+def force_child_ahead(system):
+    system.hosts[h("h0.1")].info.add(5)
+
+
+def force_two_leaders(system):
+    system.hosts[h("h1.1")].parent = None
+
+
+def force_unmirrored_child(system):
+    system.hosts[h("h1.0")].children.discard(h("h1.1"))
+
+
+#: invariant name -> (how to break it, the one violation it must show)
+FORCED = {
+    "no_harmful_cycles": (force_cycle, ("h1.0", "h1.1")),
+    "info_dominance": (force_child_ahead, ("h0.1", "h0.0")),
+    "single_leader_per_cluster": (force_two_leaders, ("h1.0", "h1.1")),
+    "children_consistency": (force_unmirrored_child, ("h1.1", "h1.0")),
+}
+
+
+@pytest.mark.parametrize("name", list(FORCED))
+def test_every_consumer_names_the_same_hosts(name):
+    sim, _, system = build()
+    lay_cluster_tree(system)
+    assert check_all(system, quiescent=True) == []
+    force, hosts = FORCED[name]
+    force(system)
+    messages = check_all(system, quiescent=True)
+    monitor = InvariantMonitor(system, sample_period=1.0).start()
+    sim.run(until=1.5)
+    assert monitor.report().samples == 1
+    sampled = [span.key for span in monitor.report().spans]
+    contained = {r.invariant: set(r.violations)
+                 for r in classify_containment(system, (), quiescent=True)}
+    for inv in INVARIANTS:
+        found = set(inv.violations(system))
+        if inv.name == name:
+            assert found == {hosts}
+        assert {m for m in messages if m.startswith(inv.name + ":")} == {
+            describe(inv, v) for v in found}
+        assert contained[inv.name] == found
+        if not inv.quiescent:
+            assert {key[1:] for key in sampled if key[0] == inv.kind} == found
+
+
+@pytest.mark.parametrize("name", list(FORCED))
+def test_an_unopened_udp_deployment_reports_forced_violations(name):
+    """Ground truth comes from the deployment, so the oracles run on a
+    UDP deployment that never bound a socket."""
+    system = UdpBroadcastSystem(cluster_names(2, 2))
+    lay_cluster_tree(system)
+    assert check_all(system, quiescent=True) == []
+    force, hosts = FORCED[name]
+    force(system)
+    inv = next(inv for inv in INVARIANTS if inv.name == name)
+    assert describe(inv, hosts) in check_all(system, quiescent=True)
 
 
 class TestQuiescence:

@@ -213,43 +213,22 @@ def test_monitor_validates_parameters():
 
 
 # ----------------------------------------------------------------------
-# The same oracle on the wall-clock backend (AsyncioRuntime shim)
+# The same oracle on the wall-clock backend (an unopened UDP deployment)
 # ----------------------------------------------------------------------
 
 
-class _FakeInfo:
-    def __init__(self):
-        self.max_seqno = 0
-
-
-class _FakeHost:
-    def __init__(self):
-        self.info = _FakeInfo()
-        self.parent = None
-
-
-class _FakeWallSystem:
-    """Minimal duck-typed system: no ``sim``, no ``network``, no
-    ``built`` — exactly the attribute shape a UDP deployment has."""
-
-    def __init__(self, runtime):
-        self.runtime = runtime
-        self.hosts = {HostId("a"): _FakeHost(), HostId("b"): _FakeHost()}
-
-    def parent_edges(self):
-        return {h: host.parent for h, host in self.hosts.items()}
-
-
 def run_wall(coro_fn, time_scale=0.01):
-    """Drive a monitor scenario on a real event loop, 100x compressed."""
+    """Drive a monitor scenario on a real event loop, 100x compressed,
+    over a UDP deployment that is built but never opened: no socket is
+    bound and no host runs, so only the test moves protocol state."""
     import asyncio
 
-    from repro.io import AsyncioRuntime
+    from repro.io import UdpBroadcastSystem
 
     async def main():
-        runtime = AsyncioRuntime(seed=0, time_scale=time_scale)
-        system = _FakeWallSystem(runtime)
-        return await coro_fn(runtime, system)
+        system = UdpBroadcastSystem([["s"], ["a", "b"]],
+                                    time_scale=time_scale)
+        return await coro_fn(system.runtime, system)
 
     return asyncio.run(main())
 
@@ -279,9 +258,9 @@ def test_monitor_spans_open_and_close_under_wall_clock():
                                    stable_window=1e9).start()
         child = system.hosts[HostId("a")]
         child.parent = HostId("b")
-        child.info.max_seqno = 5  # child ahead of parent: dominance broken
+        child.info.add(5)  # child ahead of parent: dominance broken
         await _wait_until(lambda: monitor.report().spans)  # sampled
-        child.info.max_seqno = 0  # resolves
+        child.info.truncate_above(0)  # resolves
         await _wait_until(lambda: not monitor.report().unresolved_violations)
         monitor.stop()
         return monitor.report()
@@ -302,7 +281,7 @@ def test_monitor_stop_marks_unresolved_spans_under_wall_clock():
                                    stable_window=2.0).start()
         child = system.hosts[HostId("a")]
         child.parent = HostId("b")
-        child.info.max_seqno = 7  # never resolves
+        child.info.add(7)  # never resolves
         # Stop once the open streak has outlived the window.
         await _wait_until(lambda: monitor.report().stable_violations)
         monitor.stop()

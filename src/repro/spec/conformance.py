@@ -1,11 +1,11 @@
 """Trace conformance: replay a concrete run against the abstract model.
 
-The simulation's structured trace records every externally visible
-protocol event.  :func:`check_conformance` maps those records to the
-abstract actions of :class:`repro.spec.model.BroadcastSpec`, replays
-them in timestamp order, and reports every safety violation — a
-machine-checked bridge between the implementation and the paper's
-Section 4 rules.
+A deployment's structured trace records every externally visible
+protocol event, on either backend.  :func:`check_conformance` maps
+those records to the abstract actions of
+:class:`repro.spec.model.BroadcastSpec`, replays them in timestamp
+order, and reports every safety violation — a machine-checked bridge
+between the implementation and the paper's Section 4 rules.
 
 Event mapping:
 
@@ -20,16 +20,18 @@ host.parent_timeout Detach(host)
 ==================  =============================================
 
 Tracing must be enabled for the run being checked (it is by default).
+Only rows of these kinds become records: the replay reads the trace
+through :meth:`~repro.sim.trace.Tracer.records`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
-from ..core.engine import BroadcastSystem
+from ..io.interfaces import Deployment
 from ..net import HostId
-from ..sim import Simulator, TraceRecord
+from ..sim import Simulator, TraceRecord, Tracer
 from .model import Attach, Broadcast, BroadcastSpec, Deliver, Detach
 
 #: trace kinds the checker consumes, in one pass
@@ -68,6 +70,24 @@ def _to_action(record: TraceRecord):
     return None
 
 
+def _replay(trace: Tracer, source: HostId, hosts: Sequence[HostId],
+            expect_complete: bool) -> Tuple[ConformanceReport, BroadcastSpec]:
+    spec = BroadcastSpec(source=source, hosts=hosts)
+    report = ConformanceReport()
+    relevant = trace.records(kind=_RELEVANT)
+    relevant.sort(key=lambda r: r.time)
+    for record in relevant:
+        action = _to_action(record)
+        if action is None:  # a longer kind that shares a relevant prefix
+            continue
+        report.actions_checked += 1
+        violation = spec.apply(action)
+        if violation is not None:
+            report.violations.append(f"t={record.time:.3f}: {violation}")
+    report.violations.extend(spec.final_check(expect_complete=expect_complete))
+    return report, spec
+
+
 def check_trace(
     sim: Simulator,
     source: HostId,
@@ -75,23 +95,10 @@ def check_trace(
     expect_complete: bool = False,
 ) -> ConformanceReport:
     """Replay a simulator's trace against the abstract specification."""
-    spec = BroadcastSpec(source=source, hosts=hosts)
-    report = ConformanceReport()
-    relevant = [r for r in sim.trace if r.kind in _RELEVANT]
-    relevant.sort(key=lambda r: r.time)
-    for record in relevant:
-        action = _to_action(record)
-        if action is None:  # pragma: no cover - _RELEVANT covers all
-            continue
-        report.actions_checked += 1
-        violation = spec.apply(action)
-        if violation is not None:
-            report.violations.append(f"t={record.time:.3f}: {violation}")
-    report.violations.extend(spec.final_check(expect_complete=expect_complete))
-    return report
+    return _replay(sim.trace, source, hosts, expect_complete)[0]
 
 
-def check_refinement(system: BroadcastSystem,
+def check_refinement(system: Deployment,
                      spec: BroadcastSpec) -> List[str]:
     """State correspondence: the concrete hosts must match the abstract
     state reached by replaying the trace.
@@ -120,21 +127,14 @@ def check_refinement(system: BroadcastSystem,
     return violations
 
 
-def check_conformance(system: BroadcastSystem,
+def check_conformance(system: Deployment,
                       expect_complete: bool = False) -> ConformanceReport:
-    """Check a BroadcastSystem's whole run: trace safety + refinement."""
-    spec = BroadcastSpec(source=system.source_id, hosts=system.built.hosts)
-    report = ConformanceReport()
-    relevant = [r for r in system.sim.trace if r.kind in _RELEVANT]
-    relevant.sort(key=lambda r: r.time)
-    for record in relevant:
-        action = _to_action(record)
-        if action is None:  # pragma: no cover - _RELEVANT covers all
-            continue
-        report.actions_checked += 1
-        violation = spec.apply(action)
-        if violation is not None:
-            report.violations.append(f"t={record.time:.3f}: {violation}")
-    report.violations.extend(spec.final_check(expect_complete=expect_complete))
+    """Check a tree deployment's whole run: trace safety + refinement.
+
+    Works on either backend: the hosts are the deployment's, and the
+    trace is its runtime's ``trace_sink``.
+    """
+    report, spec = _replay(system.runtime.trace_sink, system.source_id,
+                           list(system.hosts), expect_complete)
     report.violations.extend(check_refinement(system, spec))
     return report

@@ -116,9 +116,11 @@ def true_leaders(system: Any) -> Dict[int, List[HostId]]:
 
 
 def leadership(system: Any) -> List[Violation]:
-    """The leaders of every true cluster that has other than one."""
-    return [tuple(str(h) for h in leaders)
-            for _, leaders in _leaders_by_cluster(system) if len(leaders) != 1]
+    """The leaders of every true cluster that has more than one, and the
+    sorted members of every true cluster that has none."""
+    return [tuple(str(h) for h in (leaders or sorted(cluster)))
+            for cluster, leaders in _leaders_by_cluster(system)
+            if len(leaders) != 1]
 
 
 def unmirrored_children(system: Any) -> List[Violation]:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BroadcastSystem, ProtocolConfig
+from repro.io import UdpBroadcastSystem, cluster_names
 from repro.net import HostId, cheap_spec, expensive_spec, wan_of_lans
 from repro.scenarios import midstream_partition
 from repro.sim import Simulator
@@ -87,6 +88,19 @@ def test_forged_new_max_from_non_parent_caught():
                    sender=str(non_parent), gapfill=False)
     report = check_conformance(system)
     assert not report.ok
+
+
+def test_conformance_reads_an_unopened_udp_deployment():
+    """Hosts come from the deployment and the trace from its runtime's
+    sink, so the UDP backend is checked like the simulator.  No socket
+    is bound and no host runs."""
+    system = UdpBroadcastSystem(cluster_names(2, 2))
+    assert check_conformance(system, expect_complete=False).ok
+    system.runtime.trace_sink.emit("host.deliver", "h1.1", seq=1,
+                                   sender="h0.0", gapfill=False)
+    report = check_conformance(system)
+    assert report.actions_checked == 1
+    assert any("never broadcast" in v for v in report.violations)
 
 
 @settings(max_examples=8, deadline=None)

@@ -106,8 +106,29 @@ def test_classify_containment_on_an_unopened_udp_deployment():
         system, adversaries={"h1.1"}, quiescent=True)}
     assert results["no_harmful_cycles"].violations == (("h1.0", "h1.1"),)
     assert results["no_harmful_cycles"].status == "holds_correct_only"
-    # cluster 0 has two leaders (nobody has a parent), cluster 1 none
+    # cluster 0 has two leaders (nobody has a parent); cluster 1 has
+    # none, so its members are named
     assert results["single_leader_per_cluster"].violations == (
-        ("h0.0", "h0.1"), ())
+        ("h0.0", "h0.1"), ("h1.0", "h1.1"))
     assert results["single_leader_per_cluster"].status == "broken"
     assert results["info_dominance"].status == "holds_globally"
+
+
+def test_an_adversary_cycle_leaving_its_cluster_leaderless_is_contained():
+    """A cycle the adversary built inside its own cluster is the only
+    violation: the leaderless cluster names its members, one of them
+    the adversary, so every invariant holds for the correct hosts."""
+    system = UdpBroadcastSystem(cluster_names(2, 2))
+    hosts = system.hosts
+    h00, h01, h10, h11 = (HostId(n) for n in ("h0.0", "h0.1", "h1.0", "h1.1"))
+    hosts[h01].parent = h00
+    hosts[h00].children.add(h01)
+    hosts[h10].parent, hosts[h11].parent = h11, h10
+    hosts[h10].children.add(h11)
+    hosts[h11].children.add(h10)
+    results = {r.invariant: r for r in classify_containment(
+        system, adversaries={"h1.1"}, quiescent=True)}
+    assert results["single_leader_per_cluster"].violations == (
+        ("h1.0", "h1.1"),)
+    assert results["single_leader_per_cluster"].status == "holds_correct_only"
+    assert worst_status(results.values()) == "holds_correct_only"

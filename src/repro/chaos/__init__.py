@@ -11,9 +11,10 @@ tests can assert the paper's eventual-delivery claim.
 
 The host and packet injectors are backend-agnostic (sans-IO): they
 speak only the :class:`~repro.io.interfaces.Runtime` contract and the
-uniform transport tap surface, so the same seeded spec also runs over
-real UDP sockets via :class:`~repro.chaos.nemesis.ChaosNemesis`, the
-wall-clock counterpart of :class:`ChaosPlan`.
+uniform transport tap surface, so the same :class:`ChaosPlan` also runs
+a seeded spec over real UDP sockets (``ChaosPlan(system.runtime,
+system, spec)``); :func:`~repro.chaos.nemesis.wait_healed` awaits its
+heal under a wall-clock deadline.
 
 :mod:`repro.chaos.adversary` goes past faults entirely: adversarial
 (Byzantine-ish) host personas that keep misbehaving *through* the heal
@@ -23,7 +24,7 @@ hosts only (see :mod:`repro.verify.containment`).
 
 from .adversary import PERSONAS, AdversaryHarness, AdversarySpec
 from .hosts import HostCrashSchedule, HostFlapper
-from .nemesis import ChaosNemesis, validate_udp_spec
+from .nemesis import wait_healed
 from .packets import PacketChaos, PacketFaultSpec
 from .plan import (
     ChaosPlan,
@@ -40,7 +41,6 @@ from .plan import (
 __all__ = [
     "AdversaryHarness",
     "AdversarySpec",
-    "ChaosNemesis",
     "ChaosPlan",
     "ChaosSpec",
     "PERSONAS",
@@ -55,5 +55,5 @@ __all__ = [
     "PartitionSpec",
     "PartitionWindowSpec",
     "ServerOutageSpec",
-    "validate_udp_spec",
+    "wait_healed",
 ]

@@ -10,9 +10,8 @@ must discover crashed peers through its own timeouts.
 Backend-agnostic since the sans-IO port: scheduling goes through the
 :class:`~repro.io.interfaces.Runtime` contract (``start_timer`` /
 ``cancel_timer`` / ``rng``), so the same seeded injectors run on the
-discrete-event simulator and on the wall-clock asyncio backend.  A bare
-:class:`~repro.sim.Simulator` is still accepted and coerced via
-:func:`~repro.io.interfaces.as_runtime`.
+discrete-event simulator and on the wall-clock asyncio backend.  Pass
+the deployment's ``system.runtime``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from ..io.interfaces import Runtime, TimerHandle, as_runtime
+from ..io.interfaces import Runtime, TimerHandle
 from ..net import HostId
 
 #: notification hook: called with the host id right after a crash is
@@ -33,11 +32,13 @@ class HostCrashSchedule:
     """Scheduled host crashes and recoveries (chainable, like the link
     and server schedules in :mod:`repro.net.failures`)."""
 
-    def __init__(self, sim: Any, system: Any,
+    def __init__(self, runtime: Runtime, system: Any,
                  on_crash: CrashHook = None) -> None:
-        self.runtime: Runtime = as_runtime(sim)
+        self.runtime = runtime
         self.system = system
         self._on_crash = on_crash
+        #: every armed transition, so stop() can cancel those still due
+        self._pending: List[TimerHandle] = []
 
     def crash(self, time: float, host: HostId) -> "HostCrashSchedule":
         """Crash ``host`` at protocol time ``time`` (chainable)."""
@@ -55,8 +56,15 @@ class HostCrashSchedule:
             raise ValueError(f"outage end {end} must be after start {start}")
         return self.crash(start, host).recover(end, host)
 
+    def stop(self) -> None:
+        """Cancel every transition not yet applied."""
+        for handle in self._pending:
+            self.runtime.cancel_timer(handle)
+        self._pending.clear()
+
     def _at(self, when: float, callback: Callable[[], None]) -> None:
-        self.runtime.start_timer(when - self.runtime.now(), callback)
+        self._pending.append(
+            self.runtime.start_timer(when - self.runtime.now(), callback))
 
     def _apply(self, host: HostId, up: bool) -> None:
         if up:
@@ -82,7 +90,7 @@ class HostFlapper:
 
     def __init__(
         self,
-        sim: Any,
+        runtime: Runtime,
         system: Any,
         hosts: Optional[Iterable[HostId]] = None,
         mean_up: float = 30.0,
@@ -92,7 +100,7 @@ class HostFlapper:
     ) -> None:
         if mean_up <= 0 or mean_down <= 0:
             raise ValueError("mean_up and mean_down must be positive")
-        self.runtime: Runtime = as_runtime(sim)
+        self.runtime = runtime
         self.system = system
         self._on_crash = on_crash
         if hosts is None:

@@ -1,203 +1,47 @@
-"""ChaosNemesis: the wall-clock chaos orchestrator for real UDP runs.
+"""Wall-clock wait for a :class:`~repro.chaos.plan.ChaosPlan`'s heal.
 
-:class:`~repro.chaos.plan.ChaosPlan` drives a *simulated* deployment;
-link, server, and partition faults are sim-network constructs with no
-real-socket analogue (localhost UDP has no links to cut).  The
-**backend-agnostic subset** of a :class:`~repro.chaos.plan.ChaosSpec` —
-host crashes, host churn, packet faults — uses only the
-:class:`~repro.io.interfaces.Runtime` timer/RNG contract and the
-uniform ``tap``/``inject`` port surface, so the *same injector classes*
-(:class:`~repro.chaos.hosts.HostCrashSchedule`,
-:class:`~repro.chaos.hosts.HostFlapper`,
-:class:`~repro.chaos.packets.PacketChaos`) run unmodified against a
-:class:`~repro.io.node.UdpBroadcastSystem`.  ChaosNemesis is the
-orchestrator that aims them: it validates the spec is UDP-runnable
-(rejecting sim-only fault kinds by name), installs the injectors over
-``system.transports``, runs the
-:class:`~repro.verify.monitor.InvariantMonitor` oracle over the live
-trace stream, and enforces the heal-by guarantee.
-
-Heal-by under a wall clock: in-sim the heal timer fires at *exactly*
-``heal_by`` virtual seconds; under asyncio it fires when the event loop
-gets around to it — protocol time ``heal_by`` plus scheduling noise.
-:meth:`wait_healed` therefore awaits the heal with a wall-clock
+:class:`~repro.chaos.plan.ChaosPlan` is the one chaos orchestrator on
+every backend.  The one part that belongs to the wall clock alone is
+waiting for its heal: in-sim the heal timer fires at *exactly*
+``heal_by`` virtual seconds, under asyncio when the event loop gets
+around to it — protocol time ``heal_by`` plus scheduling noise.
+:func:`wait_healed` therefore polls ``plan.healed`` under a wall-clock
 deadline of the *remaining* protocol seconds (scaled by the runtime's
 ``time_scale``) plus explicit slack, and raises if the loop never
-delivered the timer — a hung loop must fail the run, not hang the
-harness.  After the heal, every churner is stopped, every managed host
-recovered, and every pending packet injection cancelled — the same
-post-horizon quiescence ChaosPlan guarantees, so eventual-delivery
-assertions mean the same thing on both backends.
+delivered the timer: a hung loop must fail the run, not hang the
+harness.  A runtime callback that raised fails the wait too.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import replace
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, cast
 
-from ..io.interfaces import Runtime, TimerHandle, as_runtime
-from ..net import HostId
-from ..verify.monitor import InvariantMonitor
-from .hosts import HostCrashSchedule, HostFlapper
-from .packets import PacketChaos
-from .plan import ChaosSpec
+from .plan import ChaosPlan
+
+if TYPE_CHECKING:
+    from ..io.aio import AsyncioRuntime
 
 
-def validate_udp_spec(spec: ChaosSpec) -> None:
-    """Reject spec legs that only exist on the simulated network.
+async def wait_healed(plan: ChaosPlan, wall_slack: float = 5.0) -> None:
+    """Await ``plan``'s heal with a wall-clock deadline.
 
-    The error names the offending fault kind so a spec written for the
-    sim can be ported deliberately rather than silently under-injected.
+    Raises ``TimeoutError`` if the heal has not happened within the
+    remaining protocol time to ``heal_by`` in wall seconds plus
+    ``wall_slack``, and re-raises the first exception a timer or
+    periodic callback of the runtime raised.
     """
-    sim_only = (
-        ("link_outages", spec.link_outages),
-        ("server_outages", spec.server_outages),
-        ("partitions", spec.partitions),
-        ("window_partitions", spec.window_partitions),
-        ("link_churn", spec.link_churn),
-        ("adversaries", spec.adversaries),
-    )
-    for kind, legs in sim_only:
-        if legs:
-            raise ValueError(
-                f"ChaosSpec.{kind} is a simulated-network fault kind with "
-                f"no real-UDP analogue; ChaosNemesis runs the "
-                f"backend-agnostic subset only (host_outages, host_churn, "
-                f"packet_faults), got {len(legs)} {kind} leg(s)")
-
-
-class ChaosNemesis:
-    """Orchestrate the UDP-runnable subset of a ChaosSpec, with oracle.
-
-    Args:
-        system: a :class:`~repro.io.node.UdpBroadcastSystem` (duck-typed:
-            needs ``runtime``, ``transports``, ``crash_host`` /
-            ``recover_host``, and the monitor's oracle surface).
-        spec: the declarative fault plan; must pass
-            :func:`validate_udp_spec`.
-        rng_prefix: namespace for the injectors' RNG streams (matching
-            ChaosPlan's, so seed-matched runs draw identical schedules).
-        monitor: sample the §4.3 invariants during the run (on by
-            default; the report is the run's safety verdict).
-        sample_period / stable_window: monitor tuning, protocol seconds.
-    """
-
-    def __init__(
-        self,
-        system: Any,
-        spec: ChaosSpec,
-        rng_prefix: str = "chaos",
-        *,
-        monitor: bool = True,
-        sample_period: float = 1.0,
-        stable_window: float = 20.0,
-    ) -> None:
-        validate_udp_spec(spec)
-        self.system = system
-        self.spec = spec
-        self.runtime: Runtime = as_runtime(system.runtime)
-        self._rng_prefix = rng_prefix
-        self.healed = False
-        self._heal_event = asyncio.Event()
-        self._heal_timer: Optional[TimerHandle] = None
-        self._host_flappers: List[HostFlapper] = []
-        self._packet_chaos: List[PacketChaos] = []
-        self.monitor: Optional[InvariantMonitor] = (
-            InvariantMonitor(system, sample_period=sample_period,
-                             stable_window=stable_window)
-            if monitor else None)
-
-    def start(self) -> "ChaosNemesis":
-        """Install every injector and arm the heal timer; returns self.
-
-        Call with the event loop running (timers need it) and the
-        system's sockets open (packet taps attach to live transports).
-        """
-        spec = self.spec
-        if spec.host_outages:
-            schedule = HostCrashSchedule(self.runtime, self.system,
-                                         on_crash=self._on_host_crash)
-            for outage in spec.host_outages:
-                schedule.outage(outage.start, outage.end,
-                                HostId(outage.host))
-        for idx, churn in enumerate(spec.host_churn):
-            self._host_flappers.append(HostFlapper(
-                self.runtime, self.system,
-                hosts=[HostId(h) for h in churn.hosts],
-                mean_up=churn.mean_up, mean_down=churn.mean_down,
-                rng_stream=f"{self._rng_prefix}.hosts.{idx}",
-                on_crash=self._on_host_crash).start())
-        if spec.packet_faults:
-            clamped = tuple(replace(f, end=min(f.end, spec.heal_by))
-                            for f in spec.packet_faults)
-            self._packet_chaos.append(PacketChaos(
-                self.runtime, self.system.transports, clamped,
-                rng_stream=f"{self._rng_prefix}.packets").start())
-        if self.monitor is not None:
-            self.monitor.start()
-        self._heal_timer = self.runtime.start_timer(
-            self.spec.heal_by - self.runtime.now(), self._heal)
-        self.runtime.trace("chaos.start", "nemesis",
-                           heal_by=self.spec.heal_by)
-        return self
-
-    def _on_host_crash(self, host: HostId) -> None:
-        """Pending chaos injections toward a crashed host die with it."""
-        for chaos in self._packet_chaos:
-            chaos.cancel_pending_for(host)
-
-    def _heal(self) -> None:
-        """The heal-by guarantee: stop churners, repair everything."""
-        self._heal_timer = None
-        for flapper in self._host_flappers:
-            flapper.heal()
-        for chaos in self._packet_chaos:
-            chaos.stop()
-        for host in self.system.crashed_hosts():
-            self.system.recover_host(host)
-        self.healed = True
-        self.runtime.trace("chaos.healed", "nemesis",
-                           at=self.runtime.now())
-        self._heal_event.set()
-
-    async def wait_healed(self, wall_slack: float = 5.0) -> None:
-        """Await the heal with a wall-clock deadline.
-
-        The deadline is the remaining protocol time to ``heal_by``
-        scaled to wall seconds, plus ``wall_slack`` wall seconds of
-        event-loop noise allowance.  Raises ``TimeoutError`` if the
-        loop never fired the heal — a wedged run must fail loudly.
-        """
-        if self.healed:
-            return
-        remaining = max(0.0, self.spec.heal_by - self.runtime.now())
-        time_scale = getattr(self.runtime, "time_scale", 1.0)
-        deadline = remaining * time_scale + wall_slack
-        try:
-            await asyncio.wait_for(self._heal_event.wait(), timeout=deadline)
-        except asyncio.TimeoutError:
+    runtime = cast("AsyncioRuntime", plan.runtime)
+    remaining = max(0.0, plan.spec.heal_by - runtime.now())
+    deadline = remaining * runtime.time_scale + wall_slack
+    loop = asyncio.get_running_loop()
+    give_up = loop.time() + deadline
+    while not plan.healed:
+        runtime.raise_failure()
+        if loop.time() >= give_up:
             raise TimeoutError(
                 f"chaos heal timer did not fire within {deadline:.1f}s "
                 f"wall ({remaining:.1f} protocol seconds remaining to "
-                f"heal_by={self.spec.heal_by} plus {wall_slack}s slack)")
-
-    def stop(self) -> None:
-        """Tear down: force the heal if pending, stop the monitor.
-
-        Idempotent; safe to call before the horizon (the run ends
-        early) — injectors are stopped and hosts recovered either way.
-        """
-        if self._heal_timer is not None:
-            self.runtime.cancel_timer(self._heal_timer)
-            self._heal_timer = None
-        if not self.healed:
-            self._heal()
-        if self.monitor is not None:
-            self.monitor.stop()
-
-    def report(self):
-        """The monitor's report (raises if monitoring was disabled)."""
-        if self.monitor is None:
-            raise RuntimeError("ChaosNemesis was built with monitor=False")
-        return self.monitor.report()
+                f"heal_by={plan.spec.heal_by} plus {wall_slack}s slack)")
+        await asyncio.sleep(0.25 * runtime.time_scale)
+    runtime.raise_failure()

@@ -29,10 +29,10 @@ Backend-agnostic since the sans-IO port: the injector speaks only the
 ``cancel_timer`` / ``rng`` / ``trace`` / ``counter``) and the uniform
 ``tap``/``inject`` port surface every :class:`~repro.io.interfaces.
 Transport` exposes, so the same seeded spec runs against the
-discrete-event network *and* against real UDP sockets
-(:class:`~repro.chaos.nemesis.ChaosNemesis`).  The port surface is
-either a sim ``Network`` (``hosts()``/``host_port()``) or any mapping
-of host id → transport (e.g. ``UdpBroadcastSystem.transports``).
+discrete-event network *and* against real UDP sockets, both through
+:class:`~repro.chaos.plan.ChaosPlan`.  The port surface is either a sim
+``Network`` (``hosts()``/``host_port()``) or any mapping of host id →
+transport (e.g. ``UdpBroadcastSystem.transports``).
 
 Determinism: all draws come from one named RNG stream, and on the sim
 backend packet arrival order is itself deterministic, so a (seed, spec)

@@ -16,19 +16,23 @@ Determinism: all randomness (the churners') flows from the simulator's
 seeded RNG streams, so a (seed, spec) pair replays the identical fault
 sequence.
 
-:class:`ChaosPlan` itself drives a *simulated* network (link, server,
-and partition faults are sim-network constructs); its host-crash and
-packet-fault legs are backend-agnostic and shared with
-:class:`~repro.chaos.nemesis.ChaosNemesis`, the wall-clock orchestrator
-that aims the same :class:`ChaosSpec` at a real UDP deployment.
+One orchestrator serves every :class:`~repro.io.interfaces.Deployment`.
+Host outages, host churn and packet faults need only the
+:class:`~repro.io.interfaces.Runtime` contract and a port surface, so
+they install the same way in-sim and over real UDP sockets; link and
+server outages, partitions, link churn and adversaries act on the
+simulated network and are rejected by name on a deployment without
+one.  Over a wall clock the heal timer fires when the event loop gets
+to it, so :func:`~repro.chaos.nemesis.wait_healed` awaits it with a
+wall deadline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from ..io.interfaces import Runtime, as_runtime
+from ..io.interfaces import Runtime, TimerHandle, as_runtime
 from ..net import (
     FailureSchedule,
     HostId,
@@ -38,12 +42,15 @@ from ..net import (
     cut_links_between,
 )
 from ..scenarios.partitions import BriefWindowSchedule, WindowSpec
-from ..sim import Simulator
 from .adversary import AdversaryHarness, AdversarySpec
 from .hosts import HostCrashSchedule, HostFlapper
 from .packets import PacketChaos, PacketFaultSpec
 
 _INF = float("inf")
+
+#: spec legs that act on a simulated network
+_SIM_ONLY = ("link_outages", "server_outages", "partitions",
+             "window_partitions", "link_churn", "adversaries")
 
 
 @dataclass(frozen=True)
@@ -179,84 +186,109 @@ class ChaosSpec:
 
 
 class ChaosPlan:
-    """Live orchestration of a :class:`ChaosSpec` against one system."""
+    """Live orchestration of a :class:`ChaosSpec` against one deployment.
 
-    def __init__(self, sim: Simulator, system, spec: ChaosSpec,
-                 rng_prefix: str = "chaos") -> None:
-        self.sim = sim
-        #: the backend-agnostic contract used for the heal timer and the
-        #: host/packet injectors (link/server/partition injectors still
-        #: need the raw simulated network below)
-        self.runtime: Runtime = as_runtime(sim)
+    ``runtime`` is the deployment's clock: over UDP pass
+    ``system.runtime``; a bare ``Simulator`` is coerced.
+    """
+
+    def __init__(self, runtime, system, spec: ChaosSpec) -> None:
+        self.runtime: Runtime = as_runtime(runtime)
         self.system = system
         self.spec = spec
-        self.network = system.network
-        self._rng_prefix = rng_prefix
+        #: the simulated network, or None on a real-socket deployment
+        self.network = getattr(system, "network", None)
         self.healed = False
+        self._heal_timer: Optional[TimerHandle] = None
+        self._host_schedule: Optional[HostCrashSchedule] = None
         self._host_flappers: List[HostFlapper] = []
         self._link_flappers: List[LinkFlapper] = []
         self._packet_chaos: List[PacketChaos] = []
-        self._adversaries: List[AdversaryHarness] = []
         #: links any churner may leave down at the horizon
         self._churned_links: List[Tuple[str, str]] = []
 
-    def start(self) -> "ChaosPlan":
-        """Install every injector and schedule the heal; returns self."""
+    def _check(self) -> None:
+        """Reject legs this deployment cannot run, and unknown hosts."""
         spec = self.spec
+        if self.network is None:
+            for kind in _SIM_ONLY:
+                if getattr(spec, kind):
+                    raise ValueError(
+                        f"ChaosSpec.{kind} needs a simulated network; "
+                        f"{type(self.system).__name__} has none")
+        named = (
+            ("host_outages", [o.host for o in spec.host_outages]),
+            ("host_churn", [h for c in spec.host_churn for h in c.hosts]),
+            ("packet_faults", [h for f in spec.packet_faults
+                               for h in (f.src, f.dst) if h != "*"]),
+            ("adversaries", [a.host for a in spec.adversaries]),
+        )
+        for leg, names in named:
+            for name in names:
+                if name not in self.system.hosts:
+                    raise ValueError(f"ChaosSpec.{leg} names {name!r}, "
+                                     f"which is not a deployment host")
+
+    def start(self) -> "ChaosPlan":
+        """Install every injector and schedule the heal; returns self.
+
+        Over UDP, call with the event loop running and the sockets open.
+        """
+        self._check()
+        spec, runtime, system = self.spec, self.runtime, self.system
         if spec.host_outages:
-            hosts = HostCrashSchedule(self.runtime, self.system,
-                                      on_crash=self._on_host_crash)
+            self._host_schedule = HostCrashSchedule(
+                runtime, system, on_crash=self._on_host_crash)
             for outage in spec.host_outages:
-                hosts.outage(outage.start, outage.end, HostId(outage.host))
+                self._host_schedule.outage(outage.start, outage.end,
+                                           HostId(outage.host))
+        network = self.network
         if spec.link_outages:
-            links = FailureSchedule(self.sim, self.network)
+            links = FailureSchedule(system.sim, network)
             for outage in spec.link_outages:
                 links.outage(outage.start, outage.end, outage.a, outage.b)
         if spec.server_outages:
-            servers = ServerOutageSchedule(self.sim, self.network)
+            servers = ServerOutageSchedule(system.sim, network)
             for outage in spec.server_outages:
                 servers.outage(outage.start, outage.end, outage.server)
         for outage in spec.partitions:
-            PartitionScheduler(self.sim, self.network).partition(
+            PartitionScheduler(system.sim, network).partition(
                 [list(group) for group in outage.groups],
                 outage.start, outage.end)
         for windowed in spec.window_partitions:
             cut = set()
             for i, group_a in enumerate(windowed.groups):
                 for group_b in windowed.groups[i + 1:]:
-                    cut.update(cut_links_between(
-                        self.network, group_a, group_b))
-            BriefWindowSchedule(self.sim, self.network, sorted(cut),
+                    cut.update(cut_links_between(network, group_a, group_b))
+            BriefWindowSchedule(system.sim, network, sorted(cut),
                                 windowed.window, windowed.until)
         for idx, churn in enumerate(spec.host_churn):
             self._host_flappers.append(HostFlapper(
-                self.runtime, self.system,
-                hosts=[HostId(h) for h in churn.hosts],
+                runtime, system, hosts=[HostId(h) for h in churn.hosts],
                 mean_up=churn.mean_up, mean_down=churn.mean_down,
-                rng_stream=f"{self._rng_prefix}.hosts.{idx}",
+                rng_stream=f"chaos.hosts.{idx}",
                 on_crash=self._on_host_crash).start())
         for idx, churn in enumerate(spec.link_churn):
             self._link_flappers.append(LinkFlapper(
-                self.sim, self.network, churn.links,
+                system.sim, network, churn.links,
                 mean_up=churn.mean_up, mean_down=churn.mean_down,
-                rng_stream=f"{self._rng_prefix}.links.{idx}").start())
+                rng_stream=f"chaos.links.{idx}").start())
             self._churned_links.extend(churn.links)
         if spec.packet_faults:
             clamped = tuple(replace(f, end=min(f.end, spec.heal_by))
                             for f in spec.packet_faults)
+            ports = network if network is not None else system.transports
             self._packet_chaos.append(PacketChaos(
-                self.runtime, self.network, clamped,
-                rng_stream=f"{self._rng_prefix}.packets").start())
+                runtime, ports, clamped, rng_stream="chaos.packets").start())
         if spec.adversaries:
             # Installed after PacketChaos so persona taps chain over the
             # packet-fault taps (the persona delegates what it does not
             # consume); NOT stopped at heal — Byzantine hosts persist.
-            self._adversaries.append(AdversaryHarness(
-                self.sim, self.system, spec.adversaries,
-                rng_stream=f"{self._rng_prefix}.adversary").start())
-        self.runtime.start_timer(self.spec.heal_by - self.runtime.now(),
-                                 self._heal)
-        self.runtime.trace("chaos.start", "plan", heal_by=self.spec.heal_by)
+            AdversaryHarness(system.sim, system, spec.adversaries,
+                             rng_stream="chaos.adversary").start()
+        self._heal_timer = runtime.start_timer(spec.heal_by - runtime.now(),
+                                               self._heal)
+        runtime.trace("chaos.start", "plan", heal_by=spec.heal_by)
         return self
 
     def adversary_hosts(self) -> frozenset:
@@ -273,9 +305,14 @@ class ChaosPlan:
     def _heal(self) -> None:
         """The heal-by guarantee: stop churners, repair everything.
 
-        Adversary personas are deliberately *not* healed: they are not
-        faults, and their windows are allowed to outlive the horizon
-        (see :class:`~repro.chaos.adversary.AdversarySpec`)."""
+        Afterwards no host is down, also when a wall-clock outage ending
+        at ``heal_by`` has not yet recovered its host.  Adversary
+        personas are deliberately *not* healed: they are not faults,
+        and their windows are allowed to outlive the horizon (see
+        :class:`~repro.chaos.adversary.AdversarySpec`)."""
+        self._heal_timer = None
+        if self._host_schedule is not None:
+            self._host_schedule.stop()
         for flapper in self._host_flappers:
             flapper.heal()
         for flapper in self._link_flappers:
@@ -284,5 +321,14 @@ class ChaosPlan:
             chaos.stop()
         for a, b in self._churned_links:
             self.network.set_link_state(a, b, up=True)
+        for host in self.system.crashed_hosts():
+            self.system.recover_host(host)
         self.healed = True
         self.runtime.trace("chaos.healed", "plan")
+
+    def stop(self) -> None:
+        """Heal now if the horizon has not come yet; idempotent."""
+        if self._heal_timer is not None:
+            self.runtime.cancel_timer(self._heal_timer)
+        if not self.healed:
+            self._heal()

@@ -285,11 +285,12 @@ def add_demo_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("what", choices=["udp", "udp-chaos"],
                         help="udp: run the seed-matched scenario once in-sim "
                              "and once over localhost UDP sockets, then "
-                             "compare per-host delivered seqno sets; "
-                             "udp-chaos: same, with an identical seeded "
-                             "ChaosSpec (host crash + packet loss/corruption) "
-                             "injected on both backends and the invariant "
-                             "monitor asserting zero stable violations")
+                             "compare per-host delivered seqno sets, with "
+                             "the invariant monitor asserting zero stable "
+                             "violations over UDP; udp-chaos: same, with an "
+                             "identical seeded ChaosSpec (host crash + "
+                             "packet loss/corruption) injected on both "
+                             "backends")
     parser.add_argument("--messages", type=int, default=None, metavar="N",
                         help="broadcasts to deliver on each backend "
                              "(default 5, or 8 for udp-chaos)")
@@ -302,19 +303,16 @@ def add_demo_args(parser: argparse.ArgumentParser) -> None:
 
 
 def run_demo_command(args: argparse.Namespace) -> int:
-    if args.what == "udp-chaos":
-        from .io.crosscheck import demo_udp_chaos
+    from .io.crosscheck import DEMO_CHAOS, CrosscheckScenario, crosscheck
 
-        chaos_result = demo_udp_chaos(
-            messages=args.messages if args.messages is not None else 8,
-            time_scale=args.time_scale, seed=args.seed)
-        return 0 if chaos_result.ok else 1
-    from .io.crosscheck import demo_udp
-
-    result = demo_udp(
-        messages=args.messages if args.messages is not None else 5,
-        time_scale=args.time_scale, seed=args.seed)
-    return 0 if result.match else 1
+    chaos = args.what == "udp-chaos"
+    messages = args.messages if args.messages is not None else (
+        8 if chaos else 5)
+    result = crosscheck(CrosscheckScenario(
+        messages=messages, seed=args.seed, time_scale=args.time_scale,
+        chaos=DEMO_CHAOS if chaos else None))
+    print(result.report())
+    return 0 if result.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

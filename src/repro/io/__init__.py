@@ -13,7 +13,9 @@ This package is the seam between the pure protocol machines
   the real-time backend: asyncio timers, localhost UDP sockets, and
   full-system assembly;
 * :mod:`repro.io.crosscheck` — the seed-matched sim-vs-UDP parity
-  harness behind ``python -m repro demo udp``.
+  harness behind ``python -m repro demo udp`` and ``demo udp-chaos``
+  (one scenario, optionally under one seeded chaos spec on both
+  backends).
 
 See DESIGN.md §14 for the architecture and the per-backend guarantees.
 """
@@ -47,14 +49,9 @@ _LAZY = {
     "UdpTransport": "udp",
     "UdpBroadcastSystem": "node",
     "cluster_names": "node",
-    "ChaosCrosscheckResult": "crosscheck",
-    "ChaosCrosscheckScenario": "crosscheck",
     "CrosscheckResult": "crosscheck",
     "CrosscheckScenario": "crosscheck",
-    "chaos_crosscheck": "crosscheck",
     "crosscheck": "crosscheck",
-    "demo_udp": "crosscheck",
-    "demo_udp_chaos": "crosscheck",
 }
 
 
@@ -71,8 +68,6 @@ __all__ = [
     "AsyncioPeriodic",
     "AsyncioRuntime",
     "AsyncioTimer",
-    "ChaosCrosscheckResult",
-    "ChaosCrosscheckScenario",
     "CounterLike",
     "CrosscheckResult",
     "CrosscheckScenario",
@@ -90,9 +85,6 @@ __all__ = [
     "UdpBroadcastSystem",
     "UdpTransport",
     "as_runtime",
-    "chaos_crosscheck",
     "cluster_names",
     "crosscheck",
-    "demo_udp",
-    "demo_udp_chaos",
 ]

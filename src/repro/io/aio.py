@@ -20,6 +20,12 @@ delays are protocol seconds; the scaling happens only at the
 Construction needs no event loop — machines can be built up front; the
 loop is resolved lazily the first time a timer/periodic/call_soon
 actually needs it (i.e. once ``asyncio.run`` is driving).
+
+A timer or periodic callback that raises fails the run: the runtime
+keeps the first such exception in :attr:`AsyncioRuntime.failure`, and
+the waits that drive a run (``UdpBroadcastSystem.run_until_delivered``,
+:func:`~repro.chaos.nemesis.wait_healed`) re-raise it.  asyncio's
+exception handler still logs it, for runs that never wait.
 """
 
 from __future__ import annotations
@@ -50,10 +56,12 @@ class _ProtocolClock:
 class AsyncioTimer:
     """One-shot timer handle over ``loop.call_later``."""
 
-    __slots__ = ("_handle", "callback", "name")
+    __slots__ = ("_handle", "_runtime", "callback", "name")
 
-    def __init__(self, callback: Callable[[], None], name: str = "") -> None:
+    def __init__(self, runtime: "AsyncioRuntime",
+                 callback: Callable[[], None], name: str = "") -> None:
         self._handle: Optional[asyncio.TimerHandle] = None
+        self._runtime = runtime
         self.callback = callback
         self.name = name
 
@@ -70,7 +78,10 @@ class AsyncioTimer:
 
     def _fire(self) -> None:
         self._handle = None
-        self.callback()
+        try:
+            self.callback()
+        except Exception as exc:
+            self._runtime._fail(exc)
 
 
 class AsyncioPeriodic:
@@ -141,7 +152,12 @@ class AsyncioPeriodic:
         self._handle = None
         if not self._running:
             return
-        self.callback()
+        try:
+            self.callback()
+        except Exception as exc:
+            self._running = False
+            self._runtime._fail(exc)
+            return
         if self._running:  # callback may have stopped us
             self._schedule()
 
@@ -167,6 +183,8 @@ class AsyncioRuntime:
         self.time_scale = float(time_scale)
         self._epoch = time.monotonic()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: the first exception a timer or periodic callback raised
+        self.failure: Optional[Exception] = None
         clock = _ProtocolClock(self)
         #: shared observability, same objects the simulator exposes
         self.trace_sink = Tracer(clock, enabled=trace)  # type: ignore[arg-type]
@@ -184,6 +202,19 @@ class AsyncioRuntime:
         """Protocol seconds since the runtime was constructed."""
         return (time.monotonic() - self._epoch) / self.time_scale
 
+    # -- callback failures ---------------------------------------------
+
+    def _fail(self, exc: Exception) -> None:
+        if self.failure is None:
+            self.failure = exc
+        self._loop_for_scheduling().call_exception_handler(
+            {"message": "runtime callback raised", "exception": exc})
+
+    def raise_failure(self) -> None:
+        """Re-raise the first exception a callback raised, if any."""
+        if self.failure is not None:
+            raise self.failure
+
     def _loop_for_scheduling(self) -> asyncio.AbstractEventLoop:
         loop = self._loop
         if loop is None or loop.is_closed():
@@ -200,7 +231,7 @@ class AsyncioRuntime:
                     callback: Callable[[], None]) -> AsyncioTimer:
         """Arm a one-shot timer ``delay`` protocol seconds from now."""
         loop = self._loop_for_scheduling()
-        timer = AsyncioTimer(callback)
+        timer = AsyncioTimer(self, callback)
         timer._handle = loop.call_later(delay * self.time_scale, timer._fire)
         return timer
 

@@ -1,17 +1,21 @@
-"""Seed-matched sim-vs-UDP cross-check (the `demo udp` harness).
+"""Seed-matched sim-vs-UDP cross-check (the ``demo udp`` harness).
 
 The sans-IO contract in one sentence: the protocol machines validated
 deterministically in simulation are the machines deployed over real
 sockets.  This harness makes that checkable end to end — run the same
 seed-matched 2-cluster scenario once on the discrete-event backend and
-once over localhost UDP, and compare the per-host delivered sequence
-number sets.
+once over localhost UDP, optionally under one seeded
+:class:`~repro.chaos.plan.ChaosSpec` that
+:class:`~repro.chaos.plan.ChaosPlan` injects on both, and compare the
+per-host delivered sequence number sets.
 
 The comparison unit is deliberately the *delivered seqno set*, not the
 delivery signature: timestamps and suppliers legitimately differ
 between virtual and wall-clock time (UDP reorders, timers jitter in
 real time), but a reliable broadcast must hand every host exactly
-messages 1..n on both backends.
+messages 1..n on both backends, faults or not.  The UDP run also keeps
+an :class:`~repro.verify.monitor.InvariantMonitor` sampling, and the
+verdict requires it to see no stable violation.
 
 Both runs use ``ClusterMode.STATIC`` with the same cluster map — the
 UDP side has no cost bits, so the sim side gets the same a-priori
@@ -22,18 +26,29 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
+from ..chaos import ChaosPlan, ChaosSpec, HostOutageSpec, PacketFaultSpec
+from ..chaos.nemesis import wait_healed
 from ..core.config import ClusterMode, ProtocolConfig
 from ..core.engine import BroadcastSystem
 from ..net.generator import wan_of_lans
 from ..sim import Simulator
+from ..verify.monitor import InvariantMonitor, MonitorReport
 from .node import UdpBroadcastSystem, cluster_names
+
+#: the ``demo udp-chaos`` fault plan: one outage of a non-source host
+#: plus a window of packet loss and corruption, all healed by t=20
+DEMO_CHAOS = ChaosSpec(
+    heal_by=20.0,
+    host_outages=(HostOutageSpec(host="h1.1", start=6.0, end=12.0),),
+    packet_faults=(PacketFaultSpec(drop_prob=0.08, corrupt_prob=0.05,
+                                   start=2.0, end=18.0),))
 
 
 @dataclass(frozen=True)
 class CrosscheckScenario:
-    """One seed-matched scenario shape, shared by both backends."""
+    """One seed-matched scenario, shared by both backends."""
 
     clusters: int = 2
     hosts_per_cluster: int = 2
@@ -42,334 +57,129 @@ class CrosscheckScenario:
     start_at: float = 2.0
     seed: int = 7
     #: protocol-seconds budget for full delivery on either backend
-    timeout: float = 90.0
+    #: (over UDP, counted from the heal when there is chaos)
+    timeout: float = 150.0
     #: UDP wall-clock compression (0.05 = 20x faster than real time)
     time_scale: float = 0.05
+    #: faults injected on both backends, or None for a fault-free run
+    chaos: Optional[ChaosSpec] = None
 
     def config(self) -> ProtocolConfig:
         n = self.clusters * self.hosts_per_cluster
         return ProtocolConfig.for_scale(
-            n, cluster_mode=ClusterMode.STATIC, data_size_bits=4_000)
+            n, cluster_mode=ClusterMode.STATIC, data_size_bits=4_000,
+            crash_stable_lag=2 if self.chaos is not None else 0)
 
 
 @dataclass(frozen=True)
 class CrosscheckResult:
-    """Per-host delivered seqno sets from both backends."""
+    """Per-host delivered seqno sets from both backends, plus the UDP
+    run's invariant report."""
 
     sim_delivered: Dict[str, List[int]]
     udp_delivered: Dict[str, List[int]]
     expected: List[int]
+    udp_report: MonitorReport
 
     @property
-    def match(self) -> bool:
-        """Did every host deliver exactly 1..n on both backends?"""
-        return (all(v == self.expected for v in self.sim_delivered.values())
-                and all(v == self.expected for v in self.udp_delivered.values())
-                and sorted(self.sim_delivered) == sorted(self.udp_delivered))
+    def ok(self) -> bool:
+        """The verdict (the demo's exit status): every host on both
+        backends delivered exactly 1..n, and the UDP monitor saw zero
+        stable violations."""
+        full = {host: self.expected for host in self.sim_delivered}
+        return (self.sim_delivered == self.udp_delivered == full
+                and self.udp_report.clean)
 
     def report(self) -> str:
-        """Human-readable comparison table."""
-        lines = [f"{'host':>8}  {'sim':<24} {'udp':<24}"]
-        for name in sorted(self.sim_delivered):
-            sim_v = self.sim_delivered[name]
+        """Human-readable comparison table plus the oracle verdict."""
+        lines = [f"{'host':>8}  {'sim':<28} {'udp':<28}"]
+        for name in sorted(self.sim_delivered.keys()
+                           | self.udp_delivered.keys()):
+            sim_v = self.sim_delivered.get(name, [])
             udp_v = self.udp_delivered.get(name, [])
-            mark = "ok" if sim_v == udp_v == self.expected else "MISMATCH"
-            lines.append(f"{name:>8}  {str(sim_v):<24} {str(udp_v):<24} {mark}")
-        verdict = "PARITY" if self.match else "MISMATCH"
-        lines.append(f"verdict: {verdict} "
-                     f"(expected 1..{len(self.expected)} everywhere)")
+            mark = "ok" if sim_v == udp_v == self.expected else "DIFFERS"
+            lines.append(f"{name:>8}  {str(sim_v):<28} {str(udp_v):<28} "
+                         f"{mark}")
+        report = self.udp_report
+        lines.append(
+            f"udp invariants: {len(report.stable_violations)} stable, "
+            f"{len(report.unresolved_violations)} unresolved at end")
+        if report.recoveries:
+            times = ", ".join(f"{host}={seconds:.1f}s"
+                              for host, seconds in report.recoveries)
+            lines.append(f"udp recoveries: {times}")
+        lines.append(
+            f"verdict: {'PARITY' if self.ok else 'FAILED'} (expected "
+            f"1..{len(self.expected)} on every host of both backends, "
+            f"no stable invariant violation over UDP)")
         return "\n".join(lines)
 
 
-def run_sim_reference(scenario: CrosscheckScenario) -> Dict[str, List[int]]:
+def run_sim(scenario: CrosscheckScenario) -> Dict[str, List[int]]:
     """The scenario on the discrete-event backend."""
     sim = Simulator(seed=scenario.seed)
     built = wan_of_lans(sim, clusters=scenario.clusters,
                         hosts_per_cluster=scenario.hosts_per_cluster,
                         backbone="line")
     system = BroadcastSystem(built, config=scenario.config()).start()
+    if scenario.chaos is not None:
+        ChaosPlan(sim, system, scenario.chaos).start()
     system.broadcast_stream(scenario.messages, interval=scenario.interval,
                             start_at=scenario.start_at)
     system.run_until_delivered(scenario.messages, timeout=scenario.timeout)
-    return {str(h): sorted(r.seq for r in records)
-            for h, records in system.delivery_records().items()}
+    return system.delivered_seqnos()
 
 
-async def run_udp_async(scenario: CrosscheckScenario) -> Dict[str, List[int]]:
-    """The scenario over localhost UDP sockets (call under a loop)."""
+async def run_udp_async(
+    scenario: CrosscheckScenario,
+) -> Tuple[Dict[str, List[int]], MonitorReport]:
+    """The scenario over localhost UDP sockets (call under a loop).
+
+    Returns the per-host delivered seqnos and the invariant monitor's
+    report.
+    """
     system = UdpBroadcastSystem(
         cluster_names(scenario.clusters, scenario.hosts_per_cluster),
         config=scenario.config(), seed=scenario.seed,
         time_scale=scenario.time_scale, trace=False)
     await system.open()
+    monitor = InvariantMonitor(system).start()
+    plan: Optional[ChaosPlan] = None
     try:
-        system.broadcast_stream(scenario.messages, interval=scenario.interval,
-                                start_at=scenario.start_at)
-        await system.run_until_delivered(scenario.messages,
-                                         timeout=scenario.timeout)
-        return system.delivered_seqnos()
-    finally:
-        system.close()
-
-
-def run_udp(scenario: CrosscheckScenario) -> Dict[str, List[int]]:
-    """The scenario over localhost UDP sockets (blocking)."""
-    return asyncio.run(run_udp_async(scenario))
-
-
-def crosscheck(scenario: CrosscheckScenario | None = None) -> CrosscheckResult:
-    """Run both backends and compare delivered seqno sets per host."""
-    scenario = scenario or CrosscheckScenario()
-    sim_delivered = run_sim_reference(scenario)
-    udp_delivered = run_udp(scenario)
-    return CrosscheckResult(
-        sim_delivered=sim_delivered, udp_delivered=udp_delivered,
-        expected=list(range(1, scenario.messages + 1)))
-
-
-def demo_udp(messages: int = 5, time_scale: float = 0.05,
-             seed: int = 7) -> CrosscheckResult:
-    """The ``python -m repro demo udp`` entry point."""
-    scenario = CrosscheckScenario(messages=messages, time_scale=time_scale,
-                                  seed=seed)
-    result = crosscheck(scenario)
-    print(result.report())
-    return result
-
-
-# ----------------------------------------------------------------------
-# Chaos parity: the same seeded ChaosSpec over both backends
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChaosCrosscheckScenario:
-    """One seed-matched *faulted* scenario shape for both backends.
-
-    The fault plan is the backend-agnostic ChaosSpec subset — one host
-    outage (never the source) plus a window of packet loss and
-    corruption — injected by :class:`~repro.chaos.plan.ChaosPlan`
-    in-sim and :class:`~repro.chaos.nemesis.ChaosNemesis` over UDP.
-
-    Parity semantics under faults: the *sets* of delivered seqnos must
-    still agree exactly in the common case, but packet faults are
-    timing-dependent on a wall clock (which datagrams the chaos RNG
-    hits depends on arrival order), so the harness also accepts a
-    per-host delivery-ratio gap within ``tolerance`` — while the hard
-    requirements (full post-heal delivery everywhere on the UDP side,
-    zero stable invariant violations) stay exact.
-    """
-
-    clusters: int = 2
-    hosts_per_cluster: int = 2
-    messages: int = 8
-    interval: float = 1.0
-    start_at: float = 2.0
-    seed: int = 7
-    #: crashed host and its outage window (must not be the source)
-    crash_host: str = "h1.1"
-    crash_start: float = 6.0
-    crash_end: float = 12.0
-    #: packet-fault mix and window
-    drop_prob: float = 0.08
-    corrupt_prob: float = 0.05
-    fault_start: float = 2.0
-    fault_end: float = 18.0
-    #: the heal-by horizon (all benign faults repaired by then)
-    heal_by: float = 20.0
-    #: protocol-seconds budget for full delivery on either backend
-    timeout: float = 150.0
-    #: UDP wall-clock compression (0.05 = 20x faster than real time)
-    time_scale: float = 0.05
-    #: accepted per-host delivery-ratio gap between the backends
-    tolerance: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tolerance <= 1.0:
-            raise ValueError(f"tolerance must be in [0, 1], "
-                             f"got {self.tolerance}")
-
-    def config(self) -> ProtocolConfig:
-        n = self.clusters * self.hosts_per_cluster
-        return ProtocolConfig.for_scale(
-            n, cluster_mode=ClusterMode.STATIC, data_size_bits=4_000,
-            crash_stable_lag=2)
-
-    def chaos_spec(self):
-        """The shared fault plan (constructed lazily: chaos layer)."""
-        from ..chaos import ChaosSpec, HostOutageSpec, PacketFaultSpec
-
-        return ChaosSpec(
-            heal_by=self.heal_by,
-            host_outages=(HostOutageSpec(
-                host=self.crash_host, start=self.crash_start,
-                end=self.crash_end),),
-            packet_faults=(PacketFaultSpec(
-                drop_prob=self.drop_prob, corrupt_prob=self.corrupt_prob,
-                start=self.fault_start, end=self.fault_end),))
-
-
-@dataclass(frozen=True)
-class ChaosCrosscheckResult:
-    """Faulted parity verdict: delivery sets plus the safety oracle."""
-
-    sim_delivered: Dict[str, List[int]]
-    udp_delivered: Dict[str, List[int]]
-    expected: List[int]
-    tolerance: float
-    #: invariant violations that persisted past the stable window (UDP)
-    udp_stable_violations: int
-    #: violations still open when the UDP monitor stopped
-    udp_unresolved_violations: int
-    #: observed (host, seconds) post-recovery catch-up times (UDP)
-    udp_recoveries: List[tuple]
-
-    @property
-    def udp_complete(self) -> bool:
-        """Every UDP host delivered exactly 1..n after the heal."""
-        return all(v == self.expected for v in self.udp_delivered.values())
-
-    @property
-    def parity(self) -> bool:
-        """Exact per-host delivered-set equality across the backends."""
-        return (sorted(self.sim_delivered) == sorted(self.udp_delivered)
-                and all(self.sim_delivered[h] == self.udp_delivered[h]
-                        for h in self.sim_delivered))
-
-    @property
-    def within_tolerance(self) -> bool:
-        """Per-host delivery-ratio gap within the accepted band."""
-        if sorted(self.sim_delivered) != sorted(self.udp_delivered):
-            return False
-        total = max(1, len(self.expected))
-        return all(
-            abs(len(self.sim_delivered[h]) - len(self.udp_delivered[h]))
-            / total <= self.tolerance
-            for h in self.sim_delivered)
-
-    @property
-    def ok(self) -> bool:
-        """The chaos-parity verdict (the demo's exit status).
-
-        Hard requirements: the UDP run reached full post-heal delivery
-        on every host and the invariant monitor saw zero stable
-        violations.  On top of that, the backends must agree — exactly,
-        or within the delivery-ratio tolerance band.
-        """
-        return (self.udp_complete and self.udp_stable_violations == 0
-                and (self.parity or self.within_tolerance))
-
-    def report(self) -> str:
-        """Human-readable comparison table plus the oracle verdict."""
-        lines = [f"{'host':>8}  {'sim':<28} {'udp':<28}"]
-        for name in sorted(self.sim_delivered):
-            sim_v = self.sim_delivered[name]
-            udp_v = self.udp_delivered.get(name, [])
-            mark = "ok" if sim_v == udp_v == self.expected else "DIFFERS"
-            lines.append(f"{name:>8}  {str(sim_v):<28} {str(udp_v):<28} "
-                         f"{mark}")
-        lines.append(
-            f"udp invariants: {self.udp_stable_violations} stable, "
-            f"{self.udp_unresolved_violations} unresolved at end")
-        if self.udp_recoveries:
-            times = ", ".join(f"{host}={seconds:.1f}s"
-                              for host, seconds in self.udp_recoveries)
-            lines.append(f"udp recoveries: {times}")
-        verdict = ("CHAOS-PARITY" if self.ok and self.parity
-                   else "CHAOS-TOLERANT" if self.ok
-                   else "FAILED")
-        lines.append(
-            f"verdict: {verdict} (expected 1..{len(self.expected)} on "
-            f"every UDP host post-heal; backend gap tolerance "
-            f"{self.tolerance:.0%})")
-        return "\n".join(lines)
-
-
-def run_sim_chaos(scenario: ChaosCrosscheckScenario) -> Dict[str, List[int]]:
-    """The faulted scenario on the discrete-event backend."""
-    from ..chaos import ChaosPlan
-
-    sim = Simulator(seed=scenario.seed)
-    built = wan_of_lans(sim, clusters=scenario.clusters,
-                        hosts_per_cluster=scenario.hosts_per_cluster,
-                        backbone="line")
-    system = BroadcastSystem(built, config=scenario.config()).start()
-    ChaosPlan(sim, system, scenario.chaos_spec()).start()
-    system.broadcast_stream(scenario.messages, interval=scenario.interval,
-                            start_at=scenario.start_at)
-    system.run_until_delivered(scenario.messages, timeout=scenario.timeout)
-    return {str(h): sorted(r.seq for r in records)
-            for h, records in system.delivery_records().items()}
-
-
-async def run_udp_chaos_async(scenario: ChaosCrosscheckScenario):
-    """The faulted scenario over localhost UDP (call under a loop).
-
-    Returns ``(delivered, report)``: the per-host delivered seqnos and
-    the invariant monitor's
-    :class:`~repro.verify.monitor.MonitorReport`.
-    """
-    from ..chaos import ChaosNemesis
-
-    system = UdpBroadcastSystem(
-        cluster_names(scenario.clusters, scenario.hosts_per_cluster),
-        config=scenario.config(), seed=scenario.seed,
-        time_scale=scenario.time_scale)
-    await system.open()
-    nemesis = ChaosNemesis(system, scenario.chaos_spec())
-    try:
-        nemesis.start()
+        if scenario.chaos is not None:
+            plan = ChaosPlan(system.runtime, system, scenario.chaos).start()
         system.broadcast_stream(scenario.messages,
                                 interval=scenario.interval,
                                 start_at=scenario.start_at)
-        await nemesis.wait_healed()
+        if plan is not None:
+            await wait_healed(plan)
         await system.run_until_delivered(scenario.messages,
                                          timeout=scenario.timeout)
-        delivered = system.delivered_seqnos()
     finally:
-        nemesis.stop()
+        if plan is not None:
+            plan.stop()
+        monitor.stop()
         system.close()
-    return delivered, nemesis.report()
+    return system.delivered_seqnos(), monitor.report()
 
 
-def chaos_crosscheck(
-    scenario: ChaosCrosscheckScenario | None = None,
-) -> ChaosCrosscheckResult:
-    """Run the same seeded ChaosSpec on both backends and compare."""
-    scenario = scenario or ChaosCrosscheckScenario()
-    sim_delivered = run_sim_chaos(scenario)
-    udp_delivered, report = asyncio.run(run_udp_chaos_async(scenario))
-    return ChaosCrosscheckResult(
+def crosscheck(
+    scenario: Optional[CrosscheckScenario] = None,
+) -> CrosscheckResult:
+    """Run both backends and compare delivered seqno sets per host."""
+    scenario = scenario or CrosscheckScenario()
+    sim_delivered = run_sim(scenario)
+    udp_delivered, report = asyncio.run(run_udp_async(scenario))
+    return CrosscheckResult(
         sim_delivered=sim_delivered, udp_delivered=udp_delivered,
-        expected=list(range(1, scenario.messages + 1)),
-        tolerance=scenario.tolerance,
-        udp_stable_violations=len(report.stable_violations),
-        udp_unresolved_violations=len(report.unresolved_violations),
-        udp_recoveries=list(report.recoveries))
-
-
-def demo_udp_chaos(messages: int = 8, time_scale: float = 0.05,
-                   seed: int = 7) -> ChaosCrosscheckResult:
-    """The ``python -m repro demo udp-chaos`` entry point."""
-    scenario = ChaosCrosscheckScenario(messages=messages,
-                                       time_scale=time_scale, seed=seed)
-    result = chaos_crosscheck(scenario)
-    print(result.report())
-    return result
+        expected=list(range(1, scenario.messages + 1)), udp_report=report)
 
 
 __all__ = [
-    "ChaosCrosscheckResult",
-    "ChaosCrosscheckScenario",
+    "DEMO_CHAOS",
     "CrosscheckResult",
     "CrosscheckScenario",
-    "chaos_crosscheck",
     "crosscheck",
-    "demo_udp",
-    "demo_udp_chaos",
-    "run_sim_chaos",
-    "run_sim_reference",
-    "run_udp",
+    "run_sim",
     "run_udp_async",
-    "run_udp_chaos_async",
 ]

@@ -321,6 +321,11 @@ class Deployment:
         return {host_id: host.deliveries.records()
                 for host_id, host in self.hosts.items()}
 
+    def delivered_seqnos(self) -> Dict[str, List[int]]:
+        """Per-host sorted delivered sequence numbers (the parity unit)."""
+        return {str(h): sorted(r.seq for r in host.deliveries.records())
+                for h, host in self.hosts.items()}
+
 
 def as_runtime(runtime_or_sim: object) -> Runtime:
     """Coerce either a :class:`Runtime` or a bare ``Simulator``.

@@ -154,15 +154,14 @@ class UdpBroadcastSystem(Deployment):
                                   hosts: Optional[List[HostId]] = None,
                                   check_period: float = 0.25) -> bool:
         """Wait until 1..n reach all (given) hosts; times in protocol
-        seconds."""
-        deadline = self.runtime.now() + timeout
-        while self.runtime.now() < deadline:
+        seconds.  Re-raises the first exception a runtime callback
+        raised."""
+        runtime = self.runtime
+        deadline = runtime.now() + timeout
+        while runtime.now() < deadline:
+            runtime.raise_failure()
             if self.all_delivered(n, hosts):
                 return True
-            await asyncio.sleep(check_period * self.runtime.time_scale)
+            await asyncio.sleep(check_period * runtime.time_scale)
+        runtime.raise_failure()
         return self.all_delivered(n, hosts)
-
-    def delivered_seqnos(self) -> Dict[str, List[int]]:
-        """Per-host sorted delivered sequence numbers (the parity unit)."""
-        return {str(h): sorted(r.seq for r in host.deliveries.records())
-                for h, host in self.hosts.items()}

@@ -19,7 +19,7 @@ def build_system(seed=1, k=2, m=2):
 def test_crash_schedule_outage_crashes_and_recovers():
     sim, built, system = build_system()
     victim = HostId("h1.0")
-    HostCrashSchedule(sim, system).outage(5.0, 10.0, victim)
+    HostCrashSchedule(system.runtime, system).outage(5.0, 10.0, victim)
     sim.run(until=4.0)
     assert system.crashed_hosts() == []
     sim.run(until=6.0)
@@ -30,7 +30,7 @@ def test_crash_schedule_outage_crashes_and_recovers():
 
 def test_crash_schedule_emits_trace_and_counters():
     sim, built, system = build_system()
-    HostCrashSchedule(sim, system).outage(2.0, 4.0, HostId("h0.1"))
+    HostCrashSchedule(system.runtime, system).outage(2.0, 4.0, HostId("h0.1"))
     sim.run(until=5.0)
     applies = sim.trace.records(kind="failure.apply")
     assert [(r.fields["host"], r.fields["up"]) for r in applies] == [
@@ -42,12 +42,12 @@ def test_crash_schedule_emits_trace_and_counters():
 def test_crash_schedule_validates_interval():
     sim, built, system = build_system()
     with pytest.raises(ValueError):
-        HostCrashSchedule(sim, system).outage(5.0, 5.0, HostId("h0.1"))
+        HostCrashSchedule(system.runtime, system).outage(5.0, 5.0, HostId("h0.1"))
 
 
 def test_host_flapper_excludes_source_by_default():
     sim, built, system = build_system()
-    flapper = HostFlapper(sim, system, mean_up=2.0, mean_down=1.0)
+    flapper = HostFlapper(system.runtime, system, mean_up=2.0, mean_down=1.0)
     assert system.source_id not in flapper.hosts
     assert len(flapper.hosts) == len(built.hosts) - 1
 
@@ -55,7 +55,7 @@ def test_host_flapper_excludes_source_by_default():
 def test_host_flapper_is_deterministic():
     def run(seed):
         sim, built, system = build_system(seed=seed)
-        HostFlapper(sim, system, mean_up=4.0, mean_down=2.0).start()
+        HostFlapper(system.runtime, system, mean_up=4.0, mean_down=2.0).start()
         sim.run(until=80.0)
         return [(round(r.time, 9), r.kind, r.source)
                 for r in sim.trace.records(kind="host.crash")
@@ -70,7 +70,7 @@ def test_host_flapper_is_deterministic():
 
 def test_host_flapper_heal_recovers_every_host():
     sim, built, system = build_system()
-    flapper = HostFlapper(sim, system, mean_up=2.0, mean_down=5.0).start()
+    flapper = HostFlapper(system.runtime, system, mean_up=2.0, mean_down=5.0).start()
     sim.run(until=30.0)
     flapper.heal()
     assert system.crashed_hosts() == []
@@ -83,16 +83,16 @@ def test_host_flapper_heal_recovers_every_host():
 def test_host_flapper_validates():
     sim, built, system = build_system()
     with pytest.raises(ValueError):
-        HostFlapper(sim, system, mean_up=0.0)
+        HostFlapper(system.runtime, system, mean_up=0.0)
     with pytest.raises(ValueError):
-        HostFlapper(sim, system, hosts=[])
+        HostFlapper(system.runtime, system, hosts=[])
 
 
 def test_host_flapper_stop_cancels_pending_transitions():
     """stop() must cancel already-armed crash/recover timers — a timer
     left armed could crash a host after a chaos plan's heal-by horizon."""
     sim, built, system = build_system()
-    flapper = HostFlapper(sim, system, mean_up=2.0, mean_down=1.0).start()
+    flapper = HostFlapper(system.runtime, system, mean_up=2.0, mean_down=1.0).start()
     sim.run(until=10.0)
     pending = list(flapper._pending.values())
     assert pending  # every managed host has its next transition armed

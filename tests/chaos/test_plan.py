@@ -3,18 +3,21 @@
 import pytest
 
 from repro.chaos import (
+    AdversarySpec,
     ChaosPlan,
     ChaosSpec,
     HostChurnSpec,
     HostOutageSpec,
     LinkChurnSpec,
     LinkOutageSpec,
+    PacketFaultSpec,
     PartitionSpec,
     PartitionWindowSpec,
     ServerOutageSpec,
 )
 from repro.scenarios.partitions import WindowSpec
 from repro.core import BroadcastSystem, ProtocolConfig
+from repro.io.node import UdpBroadcastSystem, cluster_names
 from repro.net import wan_of_lans
 from repro.sim import Simulator
 
@@ -203,3 +206,34 @@ def test_plan_delivers_full_stream_after_heal():
     system.broadcast_stream(10, interval=1.0, start_at=1.0)
     sim.run(until=26.0)
     assert system.run_until_delivered(10, timeout=400.0)
+
+
+@pytest.mark.parametrize("backend", ["sim", "udp"])
+@pytest.mark.parametrize("leg,spec", [
+    ("host_outages", ChaosSpec(heal_by=10.0, host_outages=(
+        HostOutageSpec("h9.9", 2.0, 4.0),))),
+    ("host_churn", ChaosSpec(heal_by=10.0, host_churn=(
+        HostChurnSpec(("h0.1", "h9.9")),))),
+    ("packet_faults", ChaosSpec(heal_by=10.0, packet_faults=(
+        PacketFaultSpec(dst="h9.9", drop_prob=1.0),))),
+    ("packet_faults", ChaosSpec(heal_by=10.0, packet_faults=(
+        PacketFaultSpec(src="h9.9", drop_prob=1.0),))),
+])
+def test_plan_rejects_unknown_hosts_at_start(backend, leg, spec):
+    # Unopened UDP system: the check runs before any timer is armed.
+    if backend == "sim":
+        sim, built, system = build_system(k=2, m=2, backbone="line")
+        runtime = sim
+    else:
+        system = UdpBroadcastSystem(cluster_names(2, 2))
+        runtime = system.runtime
+    with pytest.raises(ValueError, match=f"{leg} names 'h9.9'"):
+        ChaosPlan(runtime, system, spec).start()
+
+
+def test_plan_rejects_an_unknown_adversary_host():
+    sim, built, system = build_system()
+    spec = ChaosSpec(heal_by=10.0, adversaries=(
+        AdversarySpec(host="h9.9", persona="stale_info"),))
+    with pytest.raises(ValueError, match="adversaries names 'h9.9'"):
+        ChaosPlan(sim, system, spec).start()

@@ -109,6 +109,40 @@ class TestPeriodic:
             runtime.start_periodic(1.0, lambda: None, jitter=1.0)
 
 
+class TestCallbackFailures:
+    def test_raising_timer_is_kept_and_the_loop_goes_on(self):
+        async def scenario(runtime):
+            fired = []
+            runtime.start_timer(0.5, lambda: 1 / 0)
+            runtime.start_timer(1.0, lambda: fired.append(1))
+            await asyncio.sleep(0.05)
+            return runtime, fired
+
+        runtime, fired = run(scenario, seed=0, time_scale=0.01)
+        assert fired == [1]
+        assert isinstance(runtime.failure, ZeroDivisionError)
+        with pytest.raises(ZeroDivisionError):
+            runtime.raise_failure()
+
+    def test_raising_periodic_stops_and_reads_stopped(self):
+        async def scenario(runtime):
+            ticks = []
+
+            def tick():
+                ticks.append(1)
+                if len(ticks) == 2:
+                    raise ValueError("second tick")
+
+            task = runtime.start_periodic(0.5, tick).start()
+            await asyncio.sleep(0.06)
+            return runtime, task, ticks
+
+        runtime, task, ticks = run(scenario, seed=0, time_scale=0.01)
+        assert ticks == [1, 1]
+        assert not task.running
+        assert str(runtime.failure) == "second tick"
+
+
 class TestObservability:
     def test_trace_and_metrics_share_the_protocol_clock(self):
         runtime = AsyncioRuntime(seed=0, time_scale=0.5)

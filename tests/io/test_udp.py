@@ -8,6 +8,7 @@ import pytest
 from repro.core.wire import HostTable, encode_frame
 from repro.io import AsyncioRuntime, UdpTransport
 from repro.io.crosscheck import CrosscheckScenario, crosscheck
+from repro.io.node import UdpBroadcastSystem, cluster_names
 from repro.net import HostId, Packet, RawPayload
 
 
@@ -340,9 +341,27 @@ class TestSimUdpParity:
         started = time.monotonic()
         result = crosscheck(scenario)
         wall = time.monotonic() - started
-        assert result.match, "\n" + result.report()
+        assert result.ok, "\n" + result.report()
         assert set(result.sim_delivered) == {"h0.0", "h0.1", "h1.0", "h1.1"}
         # Bounded: the UDP side is compressed 20x, so even the full
         # 90-protocol-second budget is ~4.5s wall; parity normally
         # arrives far earlier.
         assert wall < scenario.timeout
+
+
+def test_raising_timer_fails_run_until_delivered():
+    def boom():
+        raise RuntimeError("timer callback bug")
+
+    async def main():
+        system = UdpBroadcastSystem(cluster_names(1, 2), seed=1,
+                                    time_scale=0.05, trace=False)
+        await system.open()
+        try:
+            system.runtime.start_timer(0.5, boom)
+            with pytest.raises(RuntimeError, match="timer callback bug"):
+                await system.run_until_delivered(1, timeout=5.0)
+        finally:
+            system.close()
+
+    asyncio.run(main())

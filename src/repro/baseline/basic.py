@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.delivery import DeliverCallback, DeliveryRecord
+from ..core.delivery import DeliverCallback
 from ..core.wire import KIND_CONTROL, DataMsg
-from ..io.interfaces import PeriodicHandle, Runtime, Transport
+from ..io.interfaces import Runtime, Transport
 from ..io.simbackend import SimDeployment
 from ..net import BuiltTopology, HostId, Packet, TuplePayload
 from .common import BaselineHostBase
@@ -76,19 +76,12 @@ class BasicReceiver(BaselineHostBase):
         super().__init__(runtime, port, deliver_callback)
         self.source = source
         self.config = config
-        port.set_receiver(self._on_packet)
 
-    def _stable_prefix(self) -> int:
-        self._flushed_prefix = max(
-            self._flushed_prefix,
-            self.deliveries.contiguous_prefix() - self.config.crash_stable_lag)
-        return self._flushed_prefix
+    def _flushable_prefix(self) -> int:
+        return (self.deliveries.contiguous_prefix()
+                - self.config.crash_stable_lag)
 
-    def _on_packet(self, packet: Packet) -> None:
-        if self.crashed:
-            self.runtime.trace("host.drop_crashed", str(self.me))
-            self.runtime.counter("proto.host.drop_crashed").inc()
-            return
+    def _receive(self, packet: Packet) -> None:
         payload = packet.payload
         if isinstance(payload, DataMsg):
             self.accept_data(payload, packet.src)
@@ -98,7 +91,16 @@ class BasicReceiver(BaselineHostBase):
 
 
 class BasicSource(BaselineHostBase):
-    """The source: unicasts to each host, retries until acked."""
+    """The source: unicasts to each host, retries until acked.
+
+    A crash stops the retries and drops inbound acks.  The outbox
+    (``store``), sequence counter and unacked set live on stable
+    storage — the same model as the tree protocol's
+    :class:`~repro.core.source.SourceHost` — so recovery resumes the
+    retries exactly where they left off.
+    """
+
+    is_source = True
 
     def __init__(self, runtime: Runtime, port: Transport,
                  receivers: List[HostId], config: BasicConfig,
@@ -106,76 +108,24 @@ class BasicSource(BaselineHostBase):
         super().__init__(runtime, port, deliver_callback)
         self.receivers = sorted(h for h in receivers if h != self.me)
         self.config = config
-        self._next_seq = 1
         #: outstanding (host, seq) pairs awaiting acknowledgment
         self.unacked: Set[Tuple[HostId, int]] = set()
-        port.set_receiver(self._on_packet)
-        self._retry_task: PeriodicHandle = self.runtime.start_periodic(
+        self._tasks = [self.runtime.start_periodic(
             config.retry_period, self._retry_tick,
             jitter=config.retry_period * 0.1,
-            rng_stream=f"basic.{self.me}.retry", name="basic_retry")
-
-    def start(self) -> "BasicSource":
-        """Start periodic activity; returns self for chaining."""
-        self._retry_task.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop periodic activity; safe to call more than once."""
-        self._retry_task.stop()
-
-    # -- crash/recovery ------------------------------------------------
-
-    def crash(self) -> None:
-        """Crash the source: retries stop, inbound acks are dropped.
-
-        The outbox (``store``), sequence counter, and unacked set live
-        on stable storage — the same model as the tree protocol's
-        :class:`~repro.core.source.SourceHost` — so recovery resumes
-        retries exactly where they left off.
-        """
-        was_up = not self.crashed
-        super().crash()
-        if was_up:
-            self._retry_task.stop()
-
-    def recover(self) -> None:
-        was_down = self.crashed
-        super().recover()
-        if was_down:
-            # The source delivers its own messages at issue time; the
-            # recovery-time metric is meaningful only for receivers.
-            self._awaiting_recovery_delivery = False
-            self._retry_task.start()
-
-    # ------------------------------------------------------------------
+            rng_stream=f"basic.{self.me}.retry", name="basic_retry")]
 
     def broadcast(self, content: object = None) -> int:
         """Send one new message: a separately addressed copy per host."""
-        runtime = self.runtime
-        now = runtime.now()  # one read: the record's delay is exactly 0
-        seq = self._next_seq
-        self._next_seq += 1
-        msg = DataMsg(seq, content, now, self.me, False,
-                      self.config.data_size_bits)
-        self.store[seq] = msg
-        self.deliveries.record(DeliveryRecord(
-            seq, content, now, now, self.me, False))
-        if runtime.trace_sink.active:
-            runtime.trace("source.broadcast", str(self.me), seq=seq,
-                          while_crashed=self.crashed)
-        runtime.counter("proto.source.broadcasts").inc()
+        msg = self._issue(content, self.config.data_size_bits)
+        seq = msg.seq
         for host in self.receivers:
             if not self.crashed:
                 self.port.send(host, msg)
             self.unacked.add((host, seq))
         return seq
 
-    def _on_packet(self, packet: Packet) -> None:
-        if self.crashed:
-            self.runtime.trace("host.drop_crashed", str(self.me))
-            self.runtime.counter("proto.host.drop_crashed").inc()
-            return
+    def _receive(self, packet: Packet) -> None:
         payload = packet.payload
         if isinstance(payload, AckMsg):
             self.unacked.discard((payload.sender, payload.seq))

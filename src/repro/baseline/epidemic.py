@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core.delivery import DeliverCallback, DeliveryRecord
+from ..core.delivery import DeliverCallback
 from ..core.seqnoset import SeqnoSet
 from ..core.wire import KIND_CONTROL, DataMsg
 from ..io.interfaces import Runtime, Transport
@@ -82,31 +82,24 @@ class EpidemicHost(BaselineHostBase):
         self.config = config
         self.info = SeqnoSet()
         self._rng = self.runtime.rng(f"epidemic.{self.me}")
-        port.set_receiver(self._on_packet)
-        self._sync_task = self.runtime.start_periodic(
+        self._tasks = [self.runtime.start_periodic(
             config.sync_period, self._sync_tick,
             jitter=config.sync_period * 0.2,
-            rng_stream=f"epidemic.{self.me}.sync", name="epidemic_sync")
+            rng_stream=f"epidemic.{self.me}.sync", name="epidemic_sync")]
 
-    def start(self) -> "EpidemicHost":
-        """Start periodic activity; returns self for chaining."""
-        self._sync_task.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop periodic activity; safe to call more than once."""
-        self._sync_task.stop()
+    def crash(self) -> None:
+        """Not modelled: a crashed epidemic host would keep answering
+        digests and its INFO set is not rolled back, so an inherited
+        crash would be silently wrong."""
+        raise NotImplementedError("the epidemic baseline has no crash model")
 
     # ------------------------------------------------------------------
 
-    def _on_packet(self, packet: Packet) -> None:
+    def _receive(self, packet: Packet) -> None:
         payload = packet.payload
         if isinstance(payload, DataMsg):
-            if payload.seq not in self.info:
+            if self.accept_data(payload, packet.src):
                 self.info.add(payload.seq)
-                self.accept_data(payload, packet.src)
-            else:
-                self.runtime.counter("proto.data.discard.duplicate").inc()
         elif isinstance(payload, Digest):
             self._answer_digest(payload, packet.src)
 
@@ -140,22 +133,13 @@ class EpidemicHost(BaselineHostBase):
 class EpidemicSource(EpidemicHost):
     """The host where new messages originate."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._next_seq = 1
+    is_source = True
 
     def broadcast(self, content: object = None) -> int:
         """Issue one new broadcast message; returns its sequence number."""
-        now = self.runtime.now()  # one read: the record's delay is exactly 0
-        seq = self._next_seq
-        self._next_seq += 1
-        msg = DataMsg(seq, content, now, self.me, False,
-                      self.config.data_size_bits)
+        msg = self._issue(content, self.config.data_size_bits)
+        seq = msg.seq
         self.info.add(seq)
-        self.store[seq] = msg
-        self.deliveries.record(DeliveryRecord(
-            seq, content, now, now, self.me, False))
-        self.runtime.counter("proto.source.broadcasts").inc()
         # Rumor mongering: eager push to a few random hosts.
         if self.participants and self.config.fanout:
             count = min(self.config.fanout, len(self.participants))
@@ -181,9 +165,3 @@ class EpidemicBroadcastSystem(SimDeployment):
             self.hosts[host_id] = cls(
                 self.runtime, self.network.host_port(host_id), built.hosts,
                 self.config, deliver_callback)
-
-    def crash_host(self, host_id: HostId) -> None:
-        """Not modelled: the epidemic host keeps answering digests while
-        ``crashed`` and its INFO set is not rolled back, so an inherited
-        crash would be silently wrong."""
-        raise NotImplementedError("the epidemic baseline has no crash model")

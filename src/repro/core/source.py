@@ -14,18 +14,17 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..io.interfaces import PeriodicHandle
-from .delivery import DeliveryRecord
 from .host import BroadcastHost
 from .resources import TokenBucket
-from .wire import DataMsg
 
 
 class SourceHost(BroadcastHost):
     """The single broadcast source (root of the host parent graph)."""
 
+    is_source = True
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._next_seq = 1
         # Source-side admission control (DESIGN.md §13): a token bucket
         # paces how fast new broadcasts are *accepted*; the congestion
         # signal brakes the refill while receives are going bad.  None
@@ -37,11 +36,6 @@ class SourceHost(BroadcastHost):
                                           resources.admission_burst,
                                           now=self.runtime.now())
 
-    @property
-    def is_source(self) -> bool:
-        """True for the broadcast source host."""
-        return True
-
     def _build_tasks(self) -> List[PeriodicHandle]:
         # Drop the attachment task: the source never looks for a parent.
         return [task for task in super()._build_tasks() if task.name != "attach"]
@@ -49,7 +43,7 @@ class SourceHost(BroadcastHost):
     def _attachment_tick(self) -> None:  # pragma: no cover - never scheduled
         raise AssertionError("the source does not run the attachment procedure")
 
-    def _stable_prefix(self) -> int:
+    def _flushable_prefix(self) -> int:
         """The source's own stream is its stable outbox (Section 4.1:
         INFO_s is updated *when a message is generated*), so a source
         crash loses volatile protocol state — views, CHILDREN — but
@@ -57,11 +51,6 @@ class SourceHost(BroadcastHost):
         return self.info.max_seqno
 
     # ------------------------------------------------------------------
-
-    @property
-    def next_seq(self) -> int:
-        """Sequence number the next broadcast() call will use."""
-        return self._next_seq
 
     def broadcast(self, content: object = None) -> int:
         """Issue one new broadcast data message; returns its seqno.
@@ -79,27 +68,14 @@ class SourceHost(BroadcastHost):
         """
         if not self._admit():
             return 0
-        runtime = self.runtime
-        # One clock read: the message and the source's own record carry
-        # the same creation time, so the source's delay is exactly 0.
-        now = runtime.now()
-        seq = self._next_seq
-        self._next_seq += 1
-        msg = DataMsg(seq, content, now, self.me, False,
-                      self.config.data_size_bits)
+        msg = self._issue(content, self.config.data_size_bits)
+        seq = msg.seq
         self.info.add(seq)
-        self.store[seq] = msg
-        self.deliveries.record(DeliveryRecord(
-            seq, content, now, now, self.me, False))
-        if runtime.trace_sink.active:
-            runtime.trace("source.broadcast", str(self.me), seq=seq,
-                          while_crashed=self.crashed)
-        runtime.counter("proto.source.broadcasts").inc()
         if not self.crashed:
             # While crashed, the message sits in the stable outbox only;
             # hosts catch up via gap filling once the source recovers.
             for child in sorted(self.children):
-                self._send_data(child, seq, False, now)
+                self._send_data(child, seq, False, msg.created_at)
         return seq
 
     def _admit(self) -> bool:

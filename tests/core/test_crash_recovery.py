@@ -63,16 +63,6 @@ def test_repeated_crashes_never_lose_already_flushed_messages():
     assert len(victim.deliveries) == first_stable
 
 
-def test_crash_is_idempotent_and_recover_is_noop_when_up():
-    sim, built, system = build_system()
-    victim = system.hosts[HostId("h0.1")]
-    victim.recover()  # up: no-op
-    assert not victim.crashed
-    victim.crash()
-    victim.crash()  # second crash: no-op
-    assert sim.metrics.counter("proto.host.crash").value == 1
-
-
 def test_crashed_host_drops_inbound_packets():
     sim, built, system = build_system()
     victim = HostId("h1.0")

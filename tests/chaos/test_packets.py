@@ -4,6 +4,7 @@ import pytest
 
 from repro.chaos import ChaosPlan, ChaosSpec, HostOutageSpec, PacketChaos, \
     PacketFaultSpec
+from repro.baseline import BasicBroadcastSystem, EpidemicBroadcastSystem
 from repro.core import BroadcastSystem, ProtocolConfig
 from repro.core.seqnoset import SeqnoSet
 from repro.core.wire import InfoMsg, corrupted_copy, forged_copy
@@ -45,6 +46,24 @@ def test_corruption_is_detected_and_dropped():
     assert sim.metrics.counter("proto.wire.corrupt_dropped").value > 0
     # Corruption slows delivery but must not poison protocol state.
     assert system.run_until_delivered(5, timeout=300.0)
+
+
+@pytest.mark.parametrize("system_class", [
+    BroadcastSystem, BasicBroadcastSystem, EpidemicBroadcastSystem])
+def test_every_protocol_drops_payloads_that_fail_their_checksum(system_class):
+    sim = Simulator(seed=1)
+    built = wan_of_lans(sim, clusters=2, hosts_per_cluster=2,
+                        backbone="line", convergence_delay=0.0)
+    system = system_class(built).start()
+    PacketChaos(sim, built.network, (PacketFaultSpec(corrupt_prob=1.0),)).start()
+    run_stream(sim, system, n=3)
+    assert all(len(host.deliveries) == 0
+               for h, host in system.hosts.items() if h != system.source_id)
+    dropped = sim.metrics.counter("proto.wire.corrupt_dropped").value
+    assert dropped > 0
+    assert dropped == (
+        sim.metrics.counter("proto.wire.corrupt_dropped.dup_uid").value
+        + sim.metrics.counter("proto.wire.corrupt_dropped.forged_uid").value)
 
 
 def test_duplicated_control_packets_are_suppressed():

@@ -211,8 +211,6 @@ def generate_trial(trial_seed: int,
     rng = random.Random(trial_seed)
     clusters = rng.randint(2, options.max_clusters)
     backbone = rng.choice(("line", "ring", "star", "tree"))
-    if clusters == 2 and backbone == "ring":
-        backbone = "line"  # a two-cluster ring would duplicate the trunk
     topology = TopologySpec(
         clusters=clusters,
         hosts_per_cluster=rng.randint(1, options.max_hosts_per_cluster),

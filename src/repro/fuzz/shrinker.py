@@ -279,13 +279,8 @@ def shrink_trial(spec: TrialSpec, outcome: TrialOutcome,
             candidates.append(dataclasses.replace(
                 topology, hosts_per_cluster=topology.hosts_per_cluster - 1))
         if topology.clusters > 2:
-            fewer = topology.clusters - 1
             candidates.append(dataclasses.replace(
-                topology, clusters=fewer,
-                # a two-cluster ring would duplicate its single trunk
-                backbone=("line" if fewer == 2
-                          and topology.backbone == "ring"
-                          else topology.backbone)))
+                topology, clusters=topology.clusters - 1))
         for smaller in candidates:
             events = _valid_events(fault_events(best_spec.chaos), smaller,
                                    best_spec.seed)

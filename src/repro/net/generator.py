@@ -14,7 +14,7 @@ protocol never reads it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from ..sim import Simulator
 from .addressing import HostId
@@ -39,6 +39,18 @@ class BuiltTopology:
         return self.hosts[0]
 
 
+def _ring(names: Sequence[str]) -> List[Tuple[str, str]]:
+    """The links of a cycle through ``names``, in order.
+
+    Two nodes make one link: closing their ring would add the same link
+    a second time.
+    """
+    pairs = list(zip(names, names[1:]))
+    if len(names) > 2:
+        pairs.append((names[-1], names[0]))
+    return pairs
+
+
 def wan_of_lans(
     sim: Simulator,
     clusters: int,
@@ -56,7 +68,7 @@ def wan_of_lans(
     chosen ``backbone`` shape:
 
     * ``"tree"`` — random spanning tree (default; deterministic per seed)
-    * ``"ring"`` — cycle
+    * ``"ring"`` — cycle (two clusters: their one trunk)
     * ``"star"`` — all clusters hang off cluster 0
     * ``"line"`` — path
     * ``"mesh"`` — complete graph
@@ -97,8 +109,8 @@ def wan_of_lans(
                 parent = cluster_servers[rng.randrange(idx)]
                 trunk(parent, cluster_servers[idx])
         elif backbone == "ring":
-            for idx in range(clusters):
-                trunk(cluster_servers[idx], cluster_servers[(idx + 1) % clusters])
+            for a, b in _ring(cluster_servers):
+                trunk(a, b)
         elif backbone == "star":
             for idx in range(1, clusters):
                 trunk(cluster_servers[0], cluster_servers[idx])
@@ -155,12 +167,8 @@ def hierarchical_wan(
         for name in names:
             network.add_server(name)
         gateways.append(names[0])
-        if servers_per_cluster == 2:
-            network.connect(names[0], names[1], cheap)
-        elif servers_per_cluster > 2:
-            for i in range(servers_per_cluster):
-                network.connect(names[i], names[(i + 1) % servers_per_cluster],
-                                cheap)
+        for a, b in _ring(names):
+            network.connect(a, b, cheap)
         members = []
         for i, server_name in enumerate(names):
             for h in range(hosts_per_server):
@@ -175,8 +183,7 @@ def hierarchical_wan(
         if backbone == "line":
             pairs = [(gateways[i - 1], gateways[i]) for i in range(1, clusters)]
         elif backbone == "ring":
-            pairs = [(gateways[i], gateways[(i + 1) % clusters])
-                     for i in range(clusters)]
+            pairs = _ring(gateways)
         elif backbone == "star":
             pairs = [(gateways[0], gateways[i]) for i in range(1, clusters)]
         else:

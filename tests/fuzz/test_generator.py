@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fuzz import FuzzOptions, generate_trial
-from repro.fuzz.generator import topology_names
+from repro.fuzz.generator import build_topology, topology_names
 from repro.fuzz.properties import build_system
 from repro.fuzz.shrinker import EVENT_FIELDS, fault_event_count
 
@@ -69,13 +69,14 @@ def test_never_crashes_the_source():
             assert names.source not in churn.hosts
 
 
-def test_two_cluster_ring_is_normalized_to_line():
-    # wan_of_lans rejects a two-cluster ring (it duplicates the single
-    # trunk); the generator must never emit that combination.
-    for seed in range(60):
-        spec = generate_trial(seed)
-        if spec.topology.clusters == 2:
-            assert spec.topology.backbone != "ring"
+def test_two_cluster_ring_trials_build_their_one_trunk():
+    rings = [spec for spec in map(generate_trial, range(60))
+             if spec.topology.clusters == 2
+             and spec.topology.backbone == "ring"]
+    assert rings
+    for spec in rings:
+        _, built = build_topology(spec)
+        assert len(built.backbone) == 1
 
 
 def test_basic_protocol_is_never_adaptive():

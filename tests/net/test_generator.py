@@ -5,6 +5,7 @@ import pytest
 from repro.net import (
     HostId,
     RawPayload,
+    hierarchical_wan,
     line_topology,
     random_topology,
     star_topology,
@@ -32,6 +33,17 @@ def test_wan_of_lans_backbone_link_counts():
         built = wan_of_lans(Simulator(seed=2), 4, 1, backbone=backbone,
                             convergence_delay=0.0)
         assert len(built.backbone) == expected, backbone
+
+
+def test_two_cluster_ring_is_its_one_trunk():
+    wan = wan_of_lans(Simulator(seed=2), 2, 2, backbone="ring",
+                      convergence_delay=0.0)
+    assert wan.backbone == [("s0", "s1")]
+    hier = hierarchical_wan(Simulator(seed=2), 2, 2, 1, backbone="ring",
+                            convergence_delay=0.0)
+    assert hier.backbone == [("s0.0", "s1.0")]
+    for built in (wan, hier):
+        assert len(built.network.partitions()) == 1
 
 
 def test_wan_of_lans_backbone_is_expensive():

@@ -9,11 +9,13 @@ The one front door::
     python -m repro demo udp [--messages N] [--seed N] [--time-scale S]
     python -m repro demo udp-chaos [--messages N] [--seed N] [--time-scale S]
 
-Flags are consistent across subcommands: ``--seed`` overrides the RNG
-seed, ``--jobs`` fans work out over the process-pool engine
-(:mod:`repro.exec`) with bit-identical results, ``--json`` writes
-machine-readable output, ``--markdown`` emits GitHub tables.  Timing
-is the repo benchmark's job (``python -m bench``), not this CLI's.
+``experiments`` prints each table's verdict under it and exits 1 when
+any verdict fails.  Flags are consistent across subcommands: ``--seed``
+overrides the RNG seed, ``--jobs`` fans work out over the process-pool
+engine (:mod:`repro.exec`) with bit-identical results, ``--json``
+writes machine-readable output, ``--markdown`` emits GitHub tables.
+Timing is the repo benchmark's job (``python -m bench``), not this
+CLI's.
 """
 
 from __future__ import annotations
@@ -123,19 +125,26 @@ def run_experiments_command(args: argparse.Namespace) -> int:
             walls[exp_id] = time.time() - started
 
     collected: List[ExperimentResult] = []
+    refuted: List[str] = []
     for exp_id in selected:
         result = results.get(exp_id)
         if result is None:
             continue  # failed in a worker; already reported
+        spec = get_spec(exp_id)
         if cache is not None and exp_id not in cached_ids:
-            cache.put(exp_id, get_spec(exp_id).cache_params(seed=args.seed),
-                      result)
+            cache.put(exp_id, spec.cache_params(seed=args.seed), result)
         collected.append(result)
+        verdict = spec.verdict(result)
+        if not verdict.ok:
+            refuted.append(exp_id)
         print()
         if args.markdown:
             print(result.render_markdown())
+            print()
+            print(verdict.render_markdown())
         else:
             print(result.render())
+            print(verdict.render())
             if exp_id in cached_ids:
                 print(f"  [{exp_id} loaded from cache]")
             else:
@@ -145,7 +154,9 @@ def run_experiments_command(args: argparse.Namespace) -> int:
             json.dump([r.as_dict() for r in collected], out, indent=2)
             out.write("\n")
         print(f"\nwrote JSON results to {args.json}", file=sys.stderr)
-    return 0 if len(collected) == len(selected) else 1
+    if refuted:
+        print(f"verdict FAIL: {', '.join(refuted)}", file=sys.stderr)
+    return 0 if len(collected) == len(selected) and not refuted else 1
 
 
 # ----------------------------------------------------------------------

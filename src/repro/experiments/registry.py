@@ -3,11 +3,13 @@
 A runner joins the registry by decorating itself with
 :func:`register`; registration order is definition order, which is the
 canonical E-series order ``--list`` and RESULTS.md follow.  A spec knows
-its runner, its typed default parameters (introspected from the
-runner's signature) and whether the runner accepts an
-:class:`~repro.exec.Executor` for intra-experiment fan-out.  Every
-runner takes its RNG seed as ``seed``; registering one that does not
-fails loudly at import time instead of silently dropping ``--seed``.
+its runner, its claims (what its table must bear out, each with its
+paper section, declared beside the runner), its typed default parameters
+(introspected from the runner's signature) and whether the runner
+accepts an :class:`~repro.exec.Executor` for intra-experiment fan-out.
+Every runner takes its RNG seed as ``seed`` and has a verdict;
+registering one that does not fails loudly at import time instead of
+silently dropping ``--seed`` or leaving its claims unchecked.
 """
 
 from __future__ import annotations
@@ -17,24 +19,29 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..exec import Executor
-from .records import ExperimentResult
+from .records import ExperimentResult, Judge, Verdict
 
 RunnerFn = Callable[..., ExperimentResult]
+#: states an experiment's claims about a result to a :class:`Judge`
+ClaimsFn = Callable[[Judge], None]
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: id, title, runner, and normalized parameters."""
+    """One experiment: id, title, runner, claims, and normalized parameters."""
 
     id: str
     runner: RunnerFn
     title: str
+    #: the paper claims its table must bear out; see :meth:`verdict`
+    claims: ClaimsFn
     #: typed default parameters, introspected from the runner signature
     defaults: Mapping[str, Any] = field(default_factory=dict)
     accepts_executor: bool = False
 
     @classmethod
     def from_runner(cls, exp_id: str, runner: RunnerFn,
+                    claims: Optional[ClaimsFn],
                     title: Optional[str] = None) -> "ExperimentSpec":
         """Build a spec by introspecting ``runner``'s signature."""
         signature = inspect.signature(runner)
@@ -42,6 +49,10 @@ class ExperimentSpec:
             raise ValueError(
                 f"{exp_id}: runner {runner.__name__} has no parameter "
                 f"'seed' to thread the seed through")
+        if claims is None:
+            raise ValueError(
+                f"{exp_id}: runner {runner.__name__} has no verdict to "
+                f"check its claims")
         defaults = {
             name: parameter.default
             for name, parameter in signature.parameters.items()
@@ -51,7 +62,8 @@ class ExperimentSpec:
         if title is None:
             doc = (runner.__doc__ or "").strip()
             title = doc.splitlines()[0].rstrip(".") if doc else exp_id
-        return cls(id=exp_id, runner=runner, title=title, defaults=defaults,
+        return cls(id=exp_id, runner=runner, title=title, claims=claims,
+                   defaults=defaults,
                    accepts_executor="executor" in signature.parameters)
 
     @property
@@ -76,6 +88,12 @@ class ExperimentSpec:
             kwargs["executor"] = executor
         return self.runner(**kwargs)
 
+    def verdict(self, result: ExperimentResult) -> Verdict:
+        """Whether ``result`` bears out every claim of this experiment."""
+        judge = Judge(result)
+        self.claims(judge)
+        return Verdict(tuple(judge.claims))
+
     def cache_params(self, seed: Optional[int] = None,
                      **overrides: Any) -> Dict[str, Any]:
         """The fully-resolved parameter mapping that keys a cache entry."""
@@ -90,12 +108,14 @@ class ExperimentSpec:
 REGISTRY: Dict[str, ExperimentSpec] = {}
 
 
-def register(exp_id: str) -> Callable[[RunnerFn], RunnerFn]:
-    """Decorator: add the runner under ``exp_id``; duplicates are a bug."""
+def register(exp_id: str, claims: Optional[ClaimsFn]
+             ) -> Callable[[RunnerFn], RunnerFn]:
+    """Decorator: add the runner under ``exp_id`` with its ``claims``;
+    duplicates are a bug."""
     def decorate(runner: RunnerFn) -> RunnerFn:
         if exp_id in REGISTRY:
             raise ValueError(f"experiment {exp_id!r} already registered")
-        REGISTRY[exp_id] = ExperimentSpec.from_runner(exp_id, runner)
+        REGISTRY[exp_id] = ExperimentSpec.from_runner(exp_id, runner, claims)
         return runner
     return decorate
 

@@ -2,13 +2,15 @@
 
 Each ``run_eN_*`` function builds fresh simulations, drives the
 workload, and returns an :class:`ExperimentResult` whose rows are the
-paper-style table.  ``@register("EN")`` adds it to the registry, in
-definition order; the order of this file is the canonical E-series
-order.  :func:`deploy` is the one place a protocol name becomes a
-started system; runners whose configs differ on purpose (E6b, E7, E8's
-tree, E9, E13-E15, E17, E18) build theirs explicitly.  Benchmarks
-(``benchmarks/bench_eN_*.py``) call the runners with default
-parameters; EXPERIMENTS.md records their output.
+paper-style table.  Above each runner sit its claims: what that table
+must bear out, each with its paper section and threshold, written for
+the runner's defaults.  ``@register("EN", claims)`` adds the pair to
+the registry, in definition order; the order of this file is the
+canonical E-series order.  :func:`deploy` is the one place a protocol
+name becomes a started system; runners whose configs differ on purpose
+(E6b, E7, E8's tree, E9, E13-E15, E17, E18) build theirs explicitly.
+``python -m repro experiments`` runs every runner at its defaults and
+prints each table with its verdict; EXPERIMENTS.md records the output.
 
 All runners are deterministic for a given ``seed``.
 """
@@ -59,7 +61,7 @@ from ..scenarios import (
 from ..exec import Executor, SerialExecutor, WorkItem, values_or_raise
 from ..sim import Simulator
 from ..verify import check_all, run_to_quiescence, true_leaders
-from .records import ExperimentResult
+from .records import ExperimentResult, Judge
 from .registry import register
 from .saturation import (
     CountingSource,
@@ -171,7 +173,22 @@ def _e1_e2_items(experiment: str, ks: Sequence[int], ms: Sequence[int],
     ]
 
 
-@register("E1")
+def _e1_claims(v: Judge) -> None:
+    v.each("§5 ¶2-3: tree <= 1.6 x (k-1) + 0.5",
+           lambda r: r["tree"] <= 1.6 * r["optimal"] + 0.5, "tree", "optimal")
+    v.each("§5 ¶2-3: basic > tree once clusters hold several hosts",
+           lambda r: r["basic"] > r["tree"], "basic", "tree",
+           rows=[r for r in v.rows if r["hosts_per_cluster"] >= 2])
+    ms = sorted({r["hosts_per_cluster"] for r in v.rows})
+    basic, tree = ([sum(r[c] for r in v.where(hosts_per_cluster=m))
+                    for m in (ms[0], ms[-1])] for c in ("basic", "tree"))
+    v.claim("§5 ¶2-3: summed over k, basic at the most hosts per cluster "
+            "> 2 x at the fewest", basic[1] > 2 * basic[0], basic=basic)
+    v.claim("§5 ¶2-3: ... while the tree's stays < 1.5 x + 1",
+            tree[1] < 1.5 * tree[0] + 1.0, tree=tree)
+
+
+@register("E1", _e1_claims)
 def run_e1_cost(seed: int = 1, ks: Sequence[int] = (2, 4, 6),
                 ms: Sequence[int] = (1, 2, 4), n: int = 20,
                 interval: float = 2.0, warmup: int = 5,
@@ -202,7 +219,22 @@ def run_e1_cost(seed: int = 1, ks: Sequence[int] = (2, 4, 6),
     return result
 
 
-@register("E2")
+def _e2_claims(v: Judge) -> None:
+    v.each("§5 ¶4: up to 12 hosts, tree_mean < 3 x basic_mean + 0.05",
+           lambda r: r["tree_mean"] < 3 * r["basic_mean"] + 0.05,
+           "tree_mean", "basic_mean",
+           rows=[r for r in v.rows
+                 if r["clusters"] * r["hosts_per_cluster"] <= 12])
+    v.each("§5 ¶4: at the last point tree_mean < 2 x basic_mean",
+           lambda r: r["tree_mean"] < 2 * r["basic_mean"],
+           "tree_mean", "basic_mean", rows=v.rows[-1:])
+    v.each("§5 ¶4: on 2 x 2 both mean delays < 1 s",
+           lambda r: max(r["tree_mean"], r["basic_mean"]) < 1.0,
+           "tree_mean", "basic_mean",
+           rows=v.where(clusters=2, hosts_per_cluster=2))
+
+
+@register("E2", _e2_claims)
 def run_e2_delay(seed: int = 1, ks: Sequence[int] = (2, 4, 6),
                  ms: Sequence[int] = (2, 4), n: int = 20,
                  interval: float = 2.0, warmup: int = 5,
@@ -233,7 +265,20 @@ def run_e2_delay(seed: int = 1, ks: Sequence[int] = (2, 4, 6),
 # ----------------------------------------------------------------------
 
 
-@register("E3")
+def _e3_claims(v: Judge) -> None:
+    v.each("§5 ¶5: everyone gets everything", lambda r: r["delivered"] == 1.0,
+           "delivered")
+    v.each("§5 ¶5: basic always redelivers from the source",
+           lambda r: r["from_source_fraction"] == 1.0, "from_source_fraction",
+           rows=v.where(protocol="basic"))
+    v.each("§5 ¶5: the tree redelivers locally: local > 0.3, from source "
+           "< 0.8", lambda r: r["local_fraction"] > 0.3
+           and r["from_source_fraction"] < 0.8,
+           "local_fraction", "from_source_fraction",
+           rows=v.where(protocol="tree"))
+
+
+@register("E3", _e3_claims)
 def run_e3_recovery(seed: int = 2, losses: Sequence[float] = (0.02, 0.05, 0.1, 0.2),
                     k: int = 3, m: int = 3, n: int = 30,
                     interval: float = 1.0) -> ExperimentResult:
@@ -272,7 +317,16 @@ def run_e3_recovery(seed: int = 2, losses: Sequence[float] = (0.02, 0.05, 0.1, 0
 # ----------------------------------------------------------------------
 
 
-@register("E4")
+def _e4_claims(v: Judge) -> None:
+    v.each("§5 ¶6: both complete after the repair",
+           lambda r: r["delivered_all"], "delivered_all")
+    sends = {r["protocol"]: r["sends_toward_partitioned_per_s"]
+             for r in v.rows}
+    v.claim("§5 ¶6: basic keeps sending into the partition, > 2 x the tree",
+            sends["basic"] > 2 * sends["tree"], **sends)
+
+
+@register("E4", _e4_claims)
 def run_e4_partition(seed: int = 3, k: int = 3, m: int = 2,
                      partition: Tuple[float, float] = (10.0, 40.0),
                      n: int = 30, interval: float = 1.0) -> ExperimentResult:
@@ -329,7 +383,21 @@ def _e5_point(protocol: str, k: int, m: int, seed: int, n: int,
                 source_peak_queue=report.source_peak_queue)
 
 
-@register("E5")
+def _e5_claims(v: Judge) -> None:
+    sides = dict(basic=dict(protocol="basic"), tree=dict(protocol="tree"))
+    v.each("§5 ¶7: basic's source-link concentration > 3 x the tree's",
+           lambda r: r["basic"] > 3 * r["tree"], "basic", "tree",
+           rows=v.versus("hosts", "concentration", **sides))
+    v.each("§5 ¶7: basic sends more per message through the source link",
+           lambda r: r["basic"] > r["tree"], "basic", "tree",
+           rows=v.versus("hosts", "source_access_tx_per_msg", **sides))
+    basic = [r["concentration"] for r in
+             sorted(v.where(protocol="basic"), key=lambda r: r["hosts"])]
+    v.claim("§5 ¶7: basic's concentration at the largest N > 2 x the "
+            "smallest", basic[-1] > 2 * basic[0], basic=basic)
+
+
+@register("E5", _e5_claims)
 def run_e5_congestion(seed: int = 4, k: int = 4,
                       ms: Sequence[int] = (2, 4, 8), n: int = 20,
                       interval: float = 1.0,
@@ -357,7 +425,19 @@ def run_e5_congestion(seed: int = 4, k: int = 4,
 # ----------------------------------------------------------------------
 
 
-@register("E6")
+def _e6_claims(v: Judge) -> None:
+    tree, basic = ([r["control_sent"] for r in sorted(
+        v.where(protocol=p), key=lambda r: r["data_messages"])]
+        for p in ("tree", "basic"))
+    v.claim("§5 ¶8: tree control is independent of the data count: within "
+            "10 % of the shortest stream's", all(
+                abs(c - tree[0]) < 0.1 * tree[0] for c in tree), tree=tree)
+    v.claim("§5 ¶8: basic's acks start at 0 and grow with the stream",
+            basic[0] == 0 and all(a < b for a, b in zip(basic, basic[1:])),
+            basic=basic)
+
+
+@register("E6", _e6_claims)
 def run_e6_control(seed: int = 5, k: int = 3, m: int = 3,
                    stream_sizes: Sequence[int] = (0, 50, 200),
                    horizon: float = 120.0) -> ExperimentResult:
@@ -386,7 +466,15 @@ def run_e6_control(seed: int = 5, k: int = 3, m: int = 3,
     return result
 
 
-@register("E6b")
+def _e6b_claims(v: Judge) -> None:
+    control = [r["control_sent"] for r in
+               sorted(v.rows, key=lambda r: r["scale_factor"])]
+    v.claim("§5 ¶8, §6: tunable: each faster setting sends > 1.5 x the next",
+            all(a > 1.5 * b for a, b in zip(control, control[1:])),
+            control_sent=control)
+
+
+@register("E6b", _e6b_claims)
 def run_e6_tuning(seed: int = 5, k: int = 3, m: int = 3,
                   factors: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
                   horizon: float = 120.0) -> ExperimentResult:
@@ -414,7 +502,18 @@ def run_e6_tuning(seed: int = 5, k: int = 3, m: int = 3,
 # ----------------------------------------------------------------------
 
 
-@register("E7")
+def _e7_claims(v: Judge) -> None:
+    rows = sorted(v.rows, key=lambda r: r["scale_factor"])
+    control = [r["control_sent"] for r in rows]
+    v.claim("§6 ¶2: control cost falls at every slower setting",
+            all(a > b for a, b in zip(control, control[1:])),
+            control_sent=control)
+    fast, slow = rows[0]["delivered_fraction"], rows[-1]["delivered_fraction"]
+    v.claim("§6 ¶2: the fastest delivers more than the slowest, by > 0.3",
+            fast >= slow and fast - slow > 0.3, fastest=fast, slowest=slow)
+
+
+@register("E7", _e7_claims)
 def run_e7_tradeoff(seed: int = 6,
                     factors: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
                     window: WindowSpec = WindowSpec(period=30.0, width=4.0,
@@ -470,7 +569,18 @@ def run_e7_tradeoff(seed: int = 6,
 # ----------------------------------------------------------------------
 
 
-@register("E8")
+def _e8_claims(v: Judge) -> None:
+    cost = {r["scheme"].split()[0]: r["link_traversals_per_msg"]
+            for r in v.rows}
+    v.claim("§3, Fig 3.1: server multicast crosses each of 6 links once",
+            cost["server"] == 6.0, server=cost["server"])
+    v.claim("§3, Fig 3.1: host-level schemes cross s1-s4 twice: basic in "
+            "[7.5, 8.5], tree in [7.5, 9] and above the bound",
+            7.5 <= cost["basic"] <= 8.5 and 7.5 <= cost["tree"] <= 9.0
+            and cost["tree"] > cost["server"], **cost)
+
+
+@register("E8", _e8_claims)
 def run_e8_fig31(seed: int = 7, n: int = 20, interval: float = 1.0,
                  warmup: int = 5) -> ExperimentResult:
     """E8: link traversals per message on the Figure 3.1 diamond."""
@@ -509,7 +619,20 @@ def run_e8_fig31(seed: int = 7, n: int = 20, interval: float = 1.0,
 # ----------------------------------------------------------------------
 
 
-@register("E9")
+def _e9_claims(v: Judge) -> None:
+    v.key = ("host",)
+    other = {"i": "j", "j": "i"}
+    v.each("§4.4, Fig 4.1: i starts with {1, 3} and j with {2, 3}",
+           lambda r: r["before"] == {"i": "[1, 3]", "j": "[2, 3]"}[r["host"]],
+           "before")
+    v.each("§4.4, Fig 4.1: both end with {1, 2, 3} without re-attaching",
+           lambda r: r["after"] == "[1, 2, 3]" and r["reattached"] is False,
+           "after", "reattached")
+    v.each("§4.4, Fig 4.1: each is gap-filled by the other, a non-neighbor",
+           lambda r: r["gap_supplier"] == other[r["host"]], "gap_supplier")
+
+
+@register("E9", _e9_claims)
 def run_e9_fig41(seed: int = 8) -> ExperimentResult:
     """E9: i={1,3}, j={2,3}, source isolated; both must converge."""
     result = ExperimentResult(
@@ -574,7 +697,19 @@ def run_e9_fig41(seed: int = 8) -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-@register("E10")
+def _e10_claims(v: Judge) -> None:
+    v.each("§6 ¶3: every cluster-knowledge mode delivers",
+           lambda r: r["delivered"] == 1.0, "delivered")
+    dynamic, static, singleton = (v.one(variant=name)["inter_cluster_per_msg"]
+                                  for name in ("dynamic clusters (paper)",
+                                               "static clusters",
+                                               "no cluster info (singletons)"))
+    v.claim("§6 ¶3: no cluster info costs > 1.5 x dynamic; static < 2 x",
+            singleton > 1.5 * dynamic and static < 2 * dynamic,
+            dynamic=dynamic, static=static, singleton=singleton)
+
+
+@register("E10", _e10_claims)
 def run_e10_ablation(seed: int = 9, k: int = 3, m: int = 3, n: int = 30,
                      interval: float = 1.0, churn: bool = True) -> ExperimentResult:
     """E10: dynamic vs static vs no cluster knowledge; II.3 on/off."""
@@ -618,7 +753,13 @@ def run_e10_ablation(seed: int = 9, k: int = 3, m: int = 3, n: int = 30,
 # ----------------------------------------------------------------------
 
 
-@register("E11")
+def _e11_claims(v: Judge) -> None:
+    v.each("§4.1, §4.3, Fig 3.2: the quiescent parent graph induces a "
+           "cluster tree, one leader per cluster",
+           lambda r: r["violations"] == 0, "violations")
+
+
+@register("E11", _e11_claims)
 def run_e11_fig32(seed: int = 10, n: int = 10) -> ExperimentResult:
     """E11: quiescent structure checks on the Figure 3.2 topology."""
     result = ExperimentResult(
@@ -646,7 +787,18 @@ def run_e11_fig32(seed: int = 10, n: int = 10) -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-@register("E12")
+def _e12_claims(v: Judge) -> None:
+    v.each("§5 vs [Deme87]: everyone delivers", lambda r: r["delivered"] == 1.0,
+           "delivered")
+    cost, delay = ({r["protocol"]: r[c] for r in v.rows}
+                   for c in ("inter_cluster_per_msg", "delay_mean"))
+    v.claim("§5 cost vs [Deme87]: the tree is cheapest across clusters",
+            cost["tree"] < min(cost["basic"], cost["epidemic"]), **cost)
+    v.claim("§5 delay vs [Deme87]: the tree beats cost-blind gossip",
+            delay["tree"] < delay["epidemic"], **delay)
+
+
+@register("E12", _e12_claims)
 def run_e12_epidemic(seed: int = 11, k: int = 3, m: int = 3, n: int = 20,
                      interval: float = 2.0, warmup: int = 5) -> ExperimentResult:
     """E12: tree vs basic vs epidemic on cost and delay."""
@@ -680,7 +832,22 @@ def run_e12_epidemic(seed: int = 11, k: int = 3, m: int = 3, n: int = 20,
 # ----------------------------------------------------------------------
 
 
-@register("E13")
+def _e13_claims(v: Judge) -> None:
+    v.each("§6 ¶4: every run delivers", lambda r: r["delivered"], "delivered")
+    packets = {r["sources"]: r for r in v.versus(
+        "sources", "control_packets", plain=dict(piggyback=False),
+        bundled=dict(piggyback=True))}
+    v.each("§6 ¶4: with 2-3 sources piggybacking saves control packets",
+           lambda r: r["bundled"] < r["plain"], "bundled", "plain",
+           rows=[packets[2], packets[3]])
+    v.each("§6 ¶4: ... because it bundles", lambda r: r["bundles"] > 0,
+           "bundles", rows=[v.one(sources=s, piggyback=True) for s in (2, 3)])
+    v.each("§6 ¶4: the saving exceeds 10 % at 3 sources",
+           lambda r: r["bundled"] < 0.9 * r["plain"], "bundled", "plain",
+           rows=[packets[3]])
+
+
+@register("E13", _e13_claims)
 def run_e13_piggyback(seed: int = 12, k: int = 2, m: int = 3,
                       n_per_source: int = 5,
                       n_sources: Sequence[int] = (1, 2, 3)) -> ExperimentResult:
@@ -724,7 +891,19 @@ def run_e13_piggyback(seed: int = 12, k: int = 2, m: int = 3,
 # ----------------------------------------------------------------------
 
 
-@register("E14")
+def _e14_claims(v: Judge) -> None:
+    v.each("§2 ¶4: every run delivers", lambda r: r["delivered"], "delivered")
+    one, most = (min(v.rows, key=lambda r: r["sources"]),
+                 max(v.rows, key=lambda r: r["sources"]))
+    v.claim("§2 ¶4: control scales with the instances: most sources > 2 x "
+            "one", most["control_per_s"] > 2 * one["control_per_s"],
+            one=one["control_per_s"], most=most["control_per_s"])
+    data = "inter_cluster_data_per_msg"
+    v.claim("§2 ¶4: data cost per message does not: most < 2 x one",
+            most[data] < 2 * one[data], one=one[data], most=most[data])
+
+
+@register("E14", _e14_claims)
 def run_e14_multisource(seed: int = 13, k: int = 2, m: int = 3,
                         n: int = 10) -> ExperimentResult:
     """E14: running several identical single-source protocols."""
@@ -775,7 +954,18 @@ def run_e14_multisource(seed: int = 13, k: int = 2, m: int = 3,
 # ----------------------------------------------------------------------
 
 
-@register("E15")
+def _e15_claims(v: Judge) -> None:
+    v.each("§3 ¶5: both deliver", lambda r: r["delivered"], "delivered")
+    on, off = v.one(delay_optimization=True), v.one(delay_optimization=False)
+    v.claim("§3 ¶5: with II.3 the leader leaves the loaded path, without "
+            "it stays", on["leader_migrated"] and not off["leader_migrated"],
+            on=on["leader_migrated"], off=off["leader_migrated"])
+    delay = "phase2_delay_mean"
+    v.claim("§3 ¶5: II.3 cuts post-shift delay below 0.6 x",
+            on[delay] < 0.6 * off[delay], on=on[delay], off=off[delay])
+
+
+@register("E15", _e15_claims)
 def run_e15_load_adaptation(seed: int = 5, shift_at: float = 40.0,
                             n_phase1: int = 30, n_phase2: int = 40,
                             interval: float = 1.0) -> ExperimentResult:
@@ -827,7 +1017,20 @@ def run_e15_load_adaptation(seed: int = 5, shift_at: float = 40.0,
 # ----------------------------------------------------------------------
 
 
-@register("E16")
+def _e16_claims(v: Judge) -> None:
+    v.each("§2 ¶7: delivery survives any skew", lambda r: r["delivered"],
+           "delivered")
+    rows = sorted(v.rows, key=lambda r: r["max_offset_s"])
+    v.each("§2 ¶7: inference is exact at the two smallest offsets",
+           lambda r: r["cluster_accuracy"] == 1.0, "cluster_accuracy",
+           rows=rows[:2])
+    v.claim("§2 ¶7: ... and at the largest is > 0.2 worse than at none",
+            rows[-1]["cluster_accuracy"] < rows[0]["cluster_accuracy"] - 0.2,
+            accuracy=[rows[0]["cluster_accuracy"],
+                      rows[-1]["cluster_accuracy"]])
+
+
+@register("E16", _e16_claims)
 def run_e16_clock_skew(seed: int = 14, k: int = 2, m: int = 3, n: int = 15,
                        offsets: Sequence[float] = (0.0, 0.001, 0.01, 0.1, 0.5),
                        ) -> ExperimentResult:
@@ -886,7 +1089,20 @@ def run_e16_clock_skew(seed: int = 14, k: int = 2, m: int = 3, n: int = 15,
 # ----------------------------------------------------------------------
 
 
-@register("E17")
+def _e17_claims(v: Judge) -> None:
+    v.each("§4.4 (DESIGN.md §4): every variant catches up",
+           lambda r: r["delivered_fraction"] == 1.0, "delivered_fraction")
+    waste = ("duplicates", "gapfills", "completion_s")
+    full, loose, tiny = ([v.one(variant=name)[c] for c in waste] for name in (
+        "full protocol", "no gap-fill suppression", "tiny inter batch (1)"))
+    v.claim("§4.4 (DESIGN.md §4): without gap-fill suppression every waste "
+            "grows", all(a > b for a, b in zip(loose, full)),
+            unsuppressed=loose, full=full)
+    v.claim("§4.4 (DESIGN.md §4): a one-message batch > 2 x catch-up time",
+            tiny[2] > 2 * full[2], tiny=tiny[2], full=full[2])
+
+
+@register("E17", _e17_claims)
 def run_e17_design_ablation(seed: int = 4, k: int = 4, m: int = 4,
                             n: int = 25, interval: float = 1.0,
                             partition: Tuple[float, float] = (5.0, 35.0),
@@ -946,7 +1162,20 @@ def run_e17_design_ablation(seed: int = 4, k: int = 4, m: int = 4,
 # ----------------------------------------------------------------------
 
 
-@register("E18")
+def _e18_claims(v: Judge) -> None:
+    rows = sorted(v.rows, key=lambda r: r["scale_factor"])
+    rel = [r["relative_reliability"] for r in rows]
+    control = [rows[0]["control_sent"], rows[-1]["control_sent"]]
+    v.claim("§1 ¶5: the fastest uses every opportunity; the slowest misses "
+            "some (< 0.8) at < 1/4 of its control cost", rel[0] == 1.0
+            and rel[-1] < 0.8 and control[1] < control[0] / 4,
+            relative_reliability=rel, control_sent=control)
+    v.claim("§1 ¶5: relative reliability falls with the period (within 0.05)",
+            all(a >= b - 0.05 for a, b in zip(rel, rel[1:])),
+            relative_reliability=rel)
+
+
+@register("E18", _e18_claims)
 def run_e18_relative_reliability(
         seed: int = 16,
         factors: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
@@ -1007,7 +1236,15 @@ def run_e18_relative_reliability(
 # ----------------------------------------------------------------------
 
 
-@register("E19")
+def _e19_claims(v: Judge) -> None:
+    v.key = ("clusters", "servers_per_cluster", "hosts_per_server")
+    v.each("§2 (clusters), §5: over multi-server clusters every shape "
+           "delivers with tree <= 1.4 x (k-1) + 0.3",
+           lambda r: r["delivered"] and r["tree"] <= 1.4 * r["optimal"] + 0.3,
+           "delivered", "tree", "optimal")
+
+
+@register("E19", _e19_claims)
 def run_e19_hierarchical(seed: int = 17,
                          shapes: Sequence[Tuple[int, int, int]] = (
                              (2, 2, 2), (3, 2, 2), (3, 3, 1), (4, 2, 1)),
@@ -1119,7 +1356,23 @@ def _e20_protocol(protocol: str, seed: int, clusters: int,
     return rows
 
 
-@register("E20")
+def _e20_claims(v: Judge) -> None:
+    tree, basic = (v.one(protocol=p, scope="all") for p in ("tree", "basic"))
+    v.claim("§2, §4.3: under churn (crashes > 0) the tree delivers >= basic "
+            "with 0 stable violations and measured recovery",
+            tree["crashes"] > 0 and tree["delivered"] >= basic["delivered"]
+            and tree["stable_violations"] == 0 and tree["recovery_mean_s"] > 0,
+            crashes=tree["crashes"], tree=tree["delivered"],
+            basic=basic["delivered"], stable=tree["stable_violations"],
+            recovery_mean_s=tree["recovery_mean_s"])
+    v.each("§2: per-host recovery reported, mean <= max",
+           lambda r: r["recovery_mean_s"] <= r["recovery_max_s"] + 1e-9,
+           "recovery_mean_s", "recovery_max_s",
+           rows=[r for r in v.where(protocol="tree") if r["scope"] != "all"
+                 and not math.isnan(r["recovery_mean_s"])])
+
+
+@register("E20", _e20_claims)
 def run_e20_host_churn(seed: int = 18, clusters: int = 3,
                        hosts_per_cluster: int = 2, n: int = 20,
                        interval: float = 1.0, heal_by: float = 60.0,
@@ -1244,7 +1497,26 @@ def _e21_items(seed: int, clusters: int, hosts_per_cluster: int, n: int,
     ]
 
 
-@register("E21")
+def _e21_claims(v: Judge) -> None:
+    sides = dict(adaptive=dict(mode="adaptive"), fixed=dict(mode="fixed"))
+    v.each("§§4.2, 6: adaptive never delivers less than fixed",
+           lambda r: r["adaptive"] >= r["fixed"], "adaptive", "fixed",
+           rows=v.versus("point", "delivered", **sides))
+    v.each("§§4.2, 6: adaptive recovery is measured at every point",
+           lambda r: not math.isnan(r["recovery_mean_s"]), "recovery_mean_s",
+           rows=v.where(mode="adaptive"))
+    harshest = {point[0] for point in E21_POINTS[-2:]}
+    v.each("§§4.2, 6: at the two harshest points adaptive recovers faster",
+           lambda r: r["adaptive"] < r["fixed"], "adaptive", "fixed",
+           rows=[r for r in v.versus("point", "recovery_mean_s", **sides)
+                 if r["point"] in harshest])
+    v.each("§§4.2, 6: the harsh point drops corrupt and replayed packets",
+           lambda r: r["corrupt_dropped"] > 0 and r["dup_suppressed"] > 0,
+           "corrupt_dropped", "dup_suppressed",
+           rows=v.where(point="harsh", mode="adaptive"))
+
+
+@register("E21", _e21_claims)
 def run_e21_adversarial_timing(seed: int = 21, clusters: int = 3,
                                hosts_per_cluster: int = 2, n: int = 30,
                                interval: float = 1.0, heal_by: float = 40.0,
@@ -1286,7 +1558,12 @@ def run_e21_adversarial_timing(seed: int = 21, clusters: int = 3,
 # ----------------------------------------------------------------------
 
 
-@register("E22")
+def _e22_claims(v: Judge) -> None:
+    v.each("§5 harness: every worker count reproduces the serial rows",
+           lambda r: r["rows_match_serial"] is True, "rows_match_serial")
+
+
+@register("E22", _e22_claims)
 def run_e22_parallel_speedup(seed: int = 21,
                              jobs_list: Sequence[int] = (1, 2, 4),
                              clusters: int = 3, hosts_per_cluster: int = 2,
@@ -1341,7 +1618,22 @@ def run_e22_parallel_speedup(seed: int = 21,
 # ----------------------------------------------------------------------
 
 
-@register("E23")
+def _e23_claims(v: Judge) -> None:
+    tree, basic = v.one(protocol="tree"), v.one(protocol="basic")
+    v.claim("§2: the tree delivers eventually on every healed fuzz trial",
+            tree["clean"] == tree["trials"] and tree["stable_violation"] == 0,
+            clean=tree["clean"], trials=tree["trials"],
+            stable_violation=tree["stable_violation"])
+    v.claim("§2: basic's acked-then-lost messages surface, shrunk to <= 1/4 "
+            "of their faults, the smallest to one event",
+            basic["no_eventual_delivery"] > 0
+            and basic["shrink_ratio_mean"] <= 0.25
+            and basic["min_repro_events"] == 1,
+            **{c: basic[c] for c in ("no_eventual_delivery",
+                                     "shrink_ratio_mean", "min_repro_events")})
+
+
+@register("E23", _e23_claims)
 def run_e23_fuzz_campaign(seed: int = 7, trials: int = 10,
                           protocols: Sequence[str] = ("tree", "basic"),
                           max_shrink_evals: int = 120,
@@ -1483,7 +1775,27 @@ def _e24_point(protocol: str, seed: int, clusters: int,
         broken=broken if monitor is not None else "-")
 
 
-@register("E24")
+def _e24_claims(v: Judge) -> None:
+    v.key = ("protocol", "k", "persona", "placement")
+    v.each("§2 fault model: with no adversary everyone delivers",
+           lambda r: r["correct_delivered"] == 1.0 and r["correct_ok"],
+           "correct_delivered", "correct_ok", rows=v.where(k=0))
+    v.each("§2 fault model: an interior data black hole starves its correct "
+           "subtree while every structural invariant holds",
+           lambda r: not r["correct_ok"] and r["correct_delivered"] < 1.0
+           and r["containment"] == "holds_globally" and r["broken"] == 0,
+           "correct_delivered", "correct_ok", "containment", "broken",
+           rows=v.where(protocol="tree", k=1, persona="selective_forward",
+                        placement="interior"))
+    v.each("§2 fault model: an adversary at a leaf hurts nobody",
+           lambda r: r["correct_ok"], "correct_ok",
+           rows=v.where(placement="leaf"))
+    v.each("§2 fault model: basic and epidemic shrug off every persona",
+           lambda r: r["correct_ok"], "correct_ok",
+           rows=[r for r in v.rows if r["protocol"] != "tree"])
+
+
+@register("E24", _e24_claims)
 def run_e24_adversary_containment(
         seed: int = 24, clusters: int = 3, hosts_per_cluster: int = 2,
         n: int = 12, interval: float = 1.0, ks: Sequence[int] = (0, 1, 2),
@@ -1643,7 +1955,34 @@ def _e25_point(protocol: str, shape: str, utilization: float,
                     and worst["overflows"] else "-"))
 
 
-@register("E25")
+def _e25_claims(v: Judge) -> None:
+    v.key = ("protocol", "shape", "util", "churn")
+    v.each("§5 ¶7 past saturation: at 3 x capacity the unbounded tree "
+           "collapses on drop-tail overflow",
+           lambda r: r["verdict"] == "collapsed" and not r["delivered_ok"]
+           and r["slo"] != "pass" and r["worst_link"] != "-",
+           "verdict", "delivered_ok", "slo", "worst_link",
+           rows=v.where(protocol="tree", shape="poisson", util=3.0))
+    v.each("§5 ¶7 past saturation: shedding and admission bring it back",
+           lambda r: r["verdict"] == "degraded_recovering" and r["delivered_ok"]
+           and 0 < r["rejected"] and r["admitted"] < r["offered"]
+           and r["shed"] > 0, "verdict", "delivered_ok", "rejected",
+           "admitted", "offered", "shed",
+           rows=v.where(protocol="tree+shed", shape="poisson", util=3.0,
+                        churn="-"))
+    mild = [v.one(protocol=p, shape="poisson", util=0.4)
+            for p in ("tree", "tree+shed")]
+    v.each("§5 ¶7: at 0.4 x shedding changes nothing: stable, same p999",
+           lambda r: r["verdict"] == "stable"
+           and r["p999_s"] == mild[0]["p999_s"], "verdict", "p999_s",
+           rows=mild)
+    v.each("§5 ¶7: overload with host churn still recovers with shedding",
+           lambda r: r["verdict"] in ("degraded_recovering", "stable")
+           and r["delivered_ok"], "verdict", "delivered_ok",
+           rows=v.where(churn="yes"))
+
+
+@register("E25", _e25_claims)
 def run_e25_saturation(
         seed: int = 25, clusters: int = 3, hosts_per_cluster: int = 2,
         duration: float = 30.0,

@@ -1,14 +1,13 @@
 """Small, tier-1-sized E21 run: adversarial timing, fixed vs adaptive.
 
-The full sweep lives in ``benchmarks/bench_e21_adversarial.py``; this
-keeps a two-point version in the fast suite so the adaptive control
-plane's core claim — never worse delivery, measurable hardening
-activity under attack — is exercised on every test run.
+The default sweep (six points, ``n=30``) is checked by its verdict in
+``test_verdicts.py``; this runs two points at ``n=15`` against the same
+verdict, so the adaptive control plane's core claims — never worse
+delivery, recovery measured everywhere, measurable hardening activity
+under attack — are checked off the default table too.
 """
 
-import math
-
-from repro.experiments import run_e21_adversarial_timing
+from repro.experiments import get_spec, run_e21_adversarial_timing
 
 SMALL_POINTS = (
     ("clean", 0.00, 0.00, 0.0, 0.0, 0.00),
@@ -19,14 +18,10 @@ SMALL_POINTS = (
 def test_e21_small_adaptive_never_worse():
     result = run_e21_adversarial_timing(n=15, measure_at=50.0,
                                         horizon=300.0, points=SMALL_POINTS)
-    rows = {(r["point"], r["mode"]): r for r in result.rows}
-    assert len(rows) == 4
-    for point, *_ in SMALL_POINTS:
-        fixed, adaptive = rows[(point, "fixed")], rows[(point, "adaptive")]
-        assert adaptive["delivered"] >= fixed["delivered"], (point, fixed,
-                                                            adaptive)
-        assert not math.isnan(adaptive["recovery_mean_s"]), adaptive
-    harsh = rows[("harsh", "adaptive")]
-    # The attack actually landed and the hardening actually engaged.
-    assert harsh["corrupt_dropped"] > 0
-    assert harsh["dup_suppressed"] > 0
+    assert len(result.rows) == 4
+    verdict = get_spec("E21").verdict(result)
+    # The faster-recovery claim holds at the default n=30 only: at n=15
+    # the adaptive plane recovers slower at the harsh point (8.7 s
+    # against the fixed plane's 5.7 s).
+    assert all(claim.held for claim in verdict.claims
+               if "harshest" not in claim.text), verdict.render()

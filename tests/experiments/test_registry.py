@@ -10,6 +10,10 @@ from repro.experiments.records import ExperimentResult
 from repro.experiments.registry import register, run_registered
 
 
+def dummy_claims(judge):
+    judge.each("§0: width is positive", lambda r: r["width"] > 0, "width")
+
+
 def dummy_runner(seed=7, width=3):
     """A dummy table for spec introspection."""
     result = ExperimentResult("EX", "dummy", ["seed", "width"])
@@ -30,7 +34,7 @@ def executor_runner(seed=1, executor=None):
 
 class TestSpecIntrospection:
     def test_defaults_and_title_from_signature(self):
-        spec = ExperimentSpec.from_runner("EX", dummy_runner)
+        spec = ExperimentSpec.from_runner("EX", dummy_runner, dummy_claims)
         assert spec.defaults == {"seed": 7, "width": 3}
         assert spec.title == "A dummy table for spec introspection"
         assert spec.default_seed == 7
@@ -38,18 +42,28 @@ class TestSpecIntrospection:
 
     def test_missing_seed_param_fails_at_registration(self):
         with pytest.raises(ValueError, match="no parameter 'seed'"):
-            ExperimentSpec.from_runner("EZ", seedless_runner)
+            ExperimentSpec.from_runner("EZ", seedless_runner, dummy_claims)
+
+    def test_missing_verdict_fails_at_registration(self):
+        with pytest.raises(ValueError, match="no verdict"):
+            register("EX", None)(dummy_runner)
+        assert "EX" not in REGISTRY
+
+    def test_spec_carries_its_verdict(self):
+        spec = ExperimentSpec.from_runner("EX", dummy_runner, dummy_claims)
+        assert spec.verdict(spec.run()).ok
+        assert not spec.verdict(spec.run(width=0)).ok
 
     def test_seed_overrides_the_runner_default(self):
-        spec = ExperimentSpec.from_runner("EX", dummy_runner)
+        spec = ExperimentSpec.from_runner("EX", dummy_runner, dummy_claims)
         assert spec.run(seed=99).rows[0]["seed"] == 99
         assert spec.run().rows[0]["seed"] == 7
 
     def test_executor_forwarded_only_when_accepted(self):
         from repro.exec import SerialExecutor
 
-        plain = ExperimentSpec.from_runner("EX", dummy_runner)
-        fanout = ExperimentSpec.from_runner("EY", executor_runner)
+        plain = ExperimentSpec.from_runner("EX", dummy_runner, dummy_claims)
+        fanout = ExperimentSpec.from_runner("EY", executor_runner, dummy_claims)
         assert fanout.accepts_executor
         assert "executor" not in fanout.defaults
         executor = SerialExecutor()
@@ -58,7 +72,7 @@ class TestSpecIntrospection:
         assert fanout.run(executor=executor).rows[0]["saw_executor"]
 
     def test_cache_params_resolve_defaults_seed_and_overrides(self):
-        spec = ExperimentSpec.from_runner("EX", dummy_runner)
+        spec = ExperimentSpec.from_runner("EX", dummy_runner, dummy_claims)
         assert spec.cache_params(seed=5, width=9) == {"seed": 5, "width": 9}
         assert spec.cache_params() == {"seed": 7, "width": 3}
 
@@ -73,7 +87,7 @@ class TestRegistry:
 
     def test_a_duplicate_id_is_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register("E1")(dummy_runner)
+            register("E1", dummy_claims)(dummy_runner)
         assert REGISTRY["E1"].runner is runners_module.run_e1_cost
 
     def test_specs_know_their_runner_defaults(self):

@@ -1,16 +1,17 @@
 """Tests for the experiment harness (small, fast parameterizations).
 
-These assert the *shape* of every experiment's outcome — the qualitative
-claims from the paper's Section 5 — using reduced parameters so the
-whole module runs in seconds.  The benchmarks run the full versions.
+Each experiment runs here with reduced parameters and must still pass
+its verdict: the paper claims declared beside its runner, which
+``test_verdicts.py`` checks at the defaults.  A reduced sweep keeps
+every point a claim reads, so the claims are checked off the default
+table too.
 """
-
-import math
 
 import pytest
 
 from repro.experiments import (
     ExperimentResult,
+    get_spec,
     run_e1_cost,
     run_e2_delay,
     run_e3_recovery,
@@ -24,6 +25,7 @@ from repro.experiments import (
     run_e10_ablation,
     run_e11_fig32,
     run_e12_epidemic,
+    run_e20_host_churn,
 )
 from repro.scenarios import WindowSpec
 
@@ -43,138 +45,67 @@ class TestExperimentResult:
         assert "note: hello" in result.render()
 
 
-def rows_by(result, **filters):
-    return [r for r in result.rows
-            if all(r[k] == v for k, v in filters.items())]
+def assert_verdict(result):
+    verdict = get_spec(result.experiment_id).verdict(result)
+    assert verdict.ok, verdict.render()
 
 
 def test_e1_tree_near_optimal_and_beats_basic():
-    result = run_e1_cost(ks=(2, 3), ms=(1, 3), n=10, warmup=3)
-    for row in result.rows:
-        assert row["tree"] <= row["optimal"] * 1.6 + 0.5
-        if row["hosts_per_cluster"] >= 3:
-            assert row["basic"] > row["tree"]
+    assert_verdict(run_e1_cost(ks=(2, 3), ms=(1, 3), n=10, warmup=3))
 
 
 def test_e2_delays_comparable():
-    result = run_e2_delay(ks=(2,), ms=(2,), n=10, warmup=3)
-    (row,) = result.rows
-    assert row["tree_mean"] < 1.0
-    assert row["basic_mean"] < 1.0
+    assert_verdict(run_e2_delay(ks=(2,), ms=(2,), n=10, warmup=3))
 
 
 def test_e3_tree_recovers_locally_basic_from_source():
-    result = run_e3_recovery(losses=(0.1,), n=15)
-    (tree_row,) = rows_by(result, protocol="tree")
-    (basic_row,) = rows_by(result, protocol="basic")
-    assert tree_row["delivered"] == 1.0
-    assert basic_row["delivered"] == 1.0
-    assert basic_row["from_source_fraction"] == 1.0
-    assert tree_row["local_fraction"] > 0.3
-    assert tree_row["from_source_fraction"] < 1.0
+    assert_verdict(run_e3_recovery(losses=(0.1,), n=15))
 
 
 def test_e4_basic_wastes_more_during_partition():
-    result = run_e4_partition(n=20, partition=(8.0, 30.0))
-    (tree_row,) = rows_by(result, protocol="tree")
-    (basic_row,) = rows_by(result, protocol="basic")
-    assert basic_row["sends_toward_partitioned_per_s"] > \
-        2 * tree_row["sends_toward_partitioned_per_s"]
-    assert tree_row["delivered_all"]
-    assert basic_row["delivered_all"]
+    assert_verdict(run_e4_partition(n=20, partition=(8.0, 30.0)))
 
 
 def test_e5_basic_concentrates_load_at_source():
-    result = run_e5_congestion(ms=(4,), n=10)
-    (tree_row,) = rows_by(result, protocol="tree")
-    (basic_row,) = rows_by(result, protocol="basic")
-    assert basic_row["concentration"] > 3 * tree_row["concentration"]
+    # Two host counts: the claim that basic's concentration grows with N
+    # needs more than one.
+    assert_verdict(run_e5_congestion(ms=(2, 4), n=10))
 
 
 def test_e6_tree_control_independent_of_stream_length():
-    result = run_e6_control(stream_sizes=(0, 100), horizon=60.0)
-    tree_rows = rows_by(result, protocol="tree")
-    assert len(tree_rows) == 2
-    ratio = tree_rows[1]["control_sent"] / tree_rows[0]["control_sent"]
-    assert 0.9 <= ratio <= 1.1  # independent of data count
-    basic_rows = rows_by(result, protocol="basic")
-    assert basic_rows[0]["control_sent"] == 0
-    assert basic_rows[1]["control_sent"] > 0  # acks scale with data
+    assert_verdict(run_e6_control(stream_sizes=(0, 100), horizon=60.0))
 
 
 def test_e6b_control_scales_inversely_with_period():
-    result = run_e6_tuning(factors=(1.0, 2.0), horizon=60.0)
-    fast, slow = result.rows
-    assert fast["control_sent"] > 1.5 * slow["control_sent"]
+    assert_verdict(run_e6_tuning(factors=(1.0, 2.0), horizon=60.0))
 
 
 def test_e7_faster_exchange_more_reliable_more_costly():
-    result = run_e7_tradeoff(
+    assert_verdict(run_e7_tradeoff(
         factors=(0.5, 4.0), horizon=100.0, n=5, trials=3,
-        window=WindowSpec(period=30.0, width=4.0, first_open=20.0))
-    fast, slow = result.rows
-    assert fast["delivered_fraction"] >= slow["delivered_fraction"]
-    assert fast["control_sent"] > slow["control_sent"]
+        window=WindowSpec(period=30.0, width=4.0, first_open=20.0)))
 
 
 def test_e8_matches_figure_3_1_exactly():
-    result = run_e8_fig31(n=10, warmup=3)
-    by_scheme = {r["scheme"]: r["link_traversals_per_msg"] for r in result.rows}
-    assert by_scheme["server multicast (lower bound)"] == 6.0
-    assert by_scheme["tree"] == pytest.approx(8.0, abs=1.0)
-    assert by_scheme["basic"] == pytest.approx(8.0, abs=0.5)
+    assert_verdict(run_e8_fig31(n=10, warmup=3))
 
 
 def test_e9_non_neighbor_gapfill_converges():
-    result = run_e9_fig41()
-    for row in result.rows:
-        assert row["after"] == "[1, 2, 3]"
-        assert row["reattached"] is False
-    suppliers = {r["host"]: r["gap_supplier"] for r in result.rows}
-    assert suppliers == {"i": "j", "j": "i"}
+    assert_verdict(run_e9_fig41())
 
 
 def test_e10_singleton_mode_works_but_costs_more():
-    result = run_e10_ablation(n=15, churn=False)
-    by_variant = {r["variant"]: r for r in result.rows}
-    dynamic = by_variant["dynamic clusters (paper)"]
-    singleton = by_variant["no cluster info (singletons)"]
-    assert dynamic["delivered"] == 1.0
-    assert singleton["delivered"] == 1.0
-    assert singleton["inter_cluster_per_msg"] > dynamic["inter_cluster_per_msg"]
+    assert_verdict(run_e10_ablation(n=15, churn=False))
 
 
 def test_e11_invariants_hold_on_figure_3_2():
-    result = run_e11_fig32(n=5)
-    assert all(row["violations"] == 0 for row in result.rows)
+    assert_verdict(run_e11_fig32(n=5))
 
 
 def test_e20_tree_at_least_as_reliable_under_host_churn():
-    from repro.experiments import run_e20_host_churn
-
-    result = run_e20_host_churn(n=10, heal_by=30.0, mean_up=12.0,
-                                mean_down=4.0, horizon=200.0)
-    (tree_all,) = rows_by(result, protocol="tree", scope="all")
-    (basic_all,) = rows_by(result, protocol="basic", scope="all")
-    assert tree_all["crashes"] > 0  # churn actually happened
-    assert tree_all["delivered"] >= basic_all["delivered"]
-    assert tree_all["stable_violations"] == 0
-    # Per-host recovery breakdown is reported alongside the totals.
-    per_host = rows_by(result, protocol="tree")
-    assert len(per_host) > 1
-    recovered = [r for r in per_host if r["scope"] != "all"
-                 and not math.isnan(r["recovery_mean_s"])]
-    assert recovered
-    assert all(r["recovery_mean_s"] <= r["recovery_max_s"] + 1e-9
-               for r in recovered)
+    assert_verdict(run_e20_host_churn(n=10, heal_by=30.0, mean_up=12.0,
+                                      mean_down=4.0, horizon=200.0))
 
 
 def test_e12_tree_cheapest_on_inter_cluster_traffic():
-    result = run_e12_epidemic(n=10, warmup=3)
-    by_protocol = {r["protocol"]: r for r in result.rows}
-    assert by_protocol["tree"]["inter_cluster_per_msg"] < \
-        by_protocol["basic"]["inter_cluster_per_msg"]
-    assert by_protocol["tree"]["inter_cluster_per_msg"] < \
-        by_protocol["epidemic"]["inter_cluster_per_msg"]
-    for row in result.rows:
-        assert row["delivered"] == 1.0
+    assert_verdict(run_e12_epidemic(n=10, warmup=3))

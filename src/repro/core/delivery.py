@@ -7,7 +7,9 @@ minimize delay — Section 1).  The :class:`DeliveryLog` records, per
 sequence number: when it was delivered, who supplied it, and whether it
 arrived as a normal parent-graph propagation or as a gap fill.  The
 analysis layer builds the paper's delay and recovery statistics from
-these records.
+these records.  Per-delivery state is packed, records are views: the
+log keeps its fields as columns (``array``/``bytearray``/``list``) and
+builds a :class:`DeliveryRecord` only for a delivery callback or a read.
 
 :class:`HostCore` is the half of a host that does not depend on the
 protocol: the delivery ledger, the crash model and the source's issue
@@ -17,7 +19,9 @@ the experiments compare delivers and crashes by the same rules.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from array import array
+from itertools import compress
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
 from ..io.interfaces import (
     CounterLike,
@@ -65,22 +69,51 @@ DeliverCallback = Callable[[HostId, DeliveryRecord], None]
 
 
 class DeliveryLog:
-    """Per-host record of delivered messages."""
+    """Per-host record of delivered messages, as packed columns.
+
+    One entry per delivery, kept for the life of the run, in delivery
+    order (about 44 B beyond the content); records are views built on
+    read.  Membership is the prefix watermark plus the seqs delivered
+    above it: nothing is indexed by seq (a frame may carry any seq up
+    to 2**63 - 1)."""
 
     def __init__(self, owner: HostId, callback: Optional[DeliverCallback] = None) -> None:
         self.owner = owner
-        self._records: Dict[int, DeliveryRecord] = {}
-        self._prefix = 0  # watermark: 1.._prefix are known delivered
         self._callback = callback
+        # the columns, one entry per delivery, in delivery order
+        self._seq = array("q")
+        self._created = array("d")
+        self._delivered = array("d")
+        self._content: List[object] = []
+        self._supplier: List[HostId] = []
+        self._gapfill = bytearray()
+        self._prefix = 0  # watermark: 1.._prefix are all delivered
+        self._above: Set[int] = set()  # delivered seqs above the watermark
 
-    def record(self, record: DeliveryRecord) -> None:
+    def record(self, seq: int, content: object, created_at: float,
+               delivered_at: float, supplier: HostId, via_gapfill: bool) -> None:
         """Record one delivery; duplicate sequence numbers are a bug."""
-        if record.seq in self._records:
-            raise AssertionError(
-                f"{self.owner}: duplicate delivery of seq {record.seq}")
-        self._records[record.seq] = record
+        if seq < 1:
+            raise ValueError(f"{self.owner}: seq must be >= 1, got {seq}")
+        if seq <= self._prefix or seq in self._above:
+            raise AssertionError(f"{self.owner}: duplicate delivery of seq {seq}")
+        self._seq.append(seq)
+        self._created.append(created_at)
+        self._delivered.append(delivered_at)
+        self._content.append(content)
+        self._supplier.append(supplier)
+        self._gapfill.append(via_gapfill)
+        if seq == self._prefix + 1:
+            above, top = self._above, seq
+            while top + 1 in above:
+                top += 1
+                above.remove(top)
+            self._prefix = top
+        else:
+            self._above.add(seq)
         if self._callback is not None:
-            self._callback(self.owner, record)
+            self._callback(self.owner, DeliveryRecord(
+                seq, content, created_at, delivered_at, supplier, via_gapfill))
 
     def forget_above(self, n: int) -> int:
         """Drop records with seq > ``n`` (host-crash modeling).
@@ -90,56 +123,70 @@ class DeliveryLog:
         numbers are legitimately delivered a second time.  Returns how
         many records were forgotten.
         """
-        lost = [seq for seq in self._records if seq > n]
-        for seq in lost:
-            del self._records[seq]
+        keep = bytes(seq <= n for seq in self._seq)
+        lost = len(keep) - sum(keep)
+        if lost:
+            self._seq = array("q", compress(self._seq, keep))
+            self._created = array("d", compress(self._created, keep))
+            self._delivered = array("d", compress(self._delivered, keep))
+            self._content = list(compress(self._content, keep))
+            self._supplier = list(compress(self._supplier, keep))
+            self._gapfill = bytearray(compress(self._gapfill, keep))
         self._prefix = min(self._prefix, max(n, 0))
-        return len(lost)
+        self._above = {seq for seq in self._above if seq <= n}
+        return lost
 
     def contiguous_prefix(self) -> int:
-        """Largest n such that messages 1..n are all delivered.
+        """Largest n such that messages 1..n are all delivered."""
+        return self._prefix
 
-        Resumes from the last answer, so polling it is O(1) amortised.
-        """
-        n = self._prefix
-        while (n + 1) in self._records:
-            n += 1
-        self._prefix = n
-        return n
-
-    # -- queries -----------------------------------------------------------
+    # -- queries (records are built here, from the columns) ----------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._seq)
 
     def __contains__(self, seq: int) -> bool:
-        return seq in self._records
+        return 1 <= seq <= self._prefix or seq in self._above
+
+    def __iter__(self) -> Iterator[int]:
+        """The delivered seqs, in delivery order."""
+        return iter(self._seq)
+
+    def _view(self, i: int) -> DeliveryRecord:
+        return DeliveryRecord(self._seq[i], self._content[i], self._created[i],
+                              self._delivered[i], self._supplier[i],
+                              bool(self._gapfill[i]))
+
+    def _by_seq(self) -> List[int]:
+        """Column indexes in sequence-number order."""
+        return sorted(range(len(self._seq)), key=self._seq.__getitem__)
 
     def get(self, seq: int) -> Optional[DeliveryRecord]:
         """The record for ``seq``, or None if not delivered."""
-        return self._records.get(seq)
+        return self._view(self._seq.index(seq)) if seq in self else None
 
     def records(self) -> List[DeliveryRecord]:
         """All deliveries in sequence-number order."""
-        return [self._records[seq] for seq in sorted(self._records)]
+        return [self._view(i) for i in self._by_seq()]
 
     def has_all(self, n: int) -> bool:
         """True when messages 1..n have all been delivered."""
-        return self.contiguous_prefix() >= n
+        return self._prefix >= n
 
     def delays(self) -> List[float]:
         """Delays of all deliveries, in sequence order."""
-        return [record.delay for record in self.records()]
+        delivered, created = self._delivered, self._created
+        return [delivered[i] - created[i] for i in self._by_seq()]
 
     def out_of_order_count(self) -> int:
         """How many messages arrived after a higher-numbered one."""
-        by_time = sorted(self._records.values(), key=lambda r: (r.delivered_at, r.seq))
+        seqs, delivered = self._seq, self._delivered
         count = 0
         max_seq = 0
-        for record in by_time:
-            if record.seq < max_seq:
+        for i in sorted(range(len(seqs)), key=lambda i: (delivered[i], seqs[i])):
+            if seqs[i] < max_seq:
                 count += 1
-            max_seq = max(max_seq, record.seq)
+            max_seq = max(max_seq, seqs[i])
         return count
 
 
@@ -252,8 +299,8 @@ class HostCore:
         """Record the first delivery of ``msg`` (already stored)."""
         runtime = self.runtime
         seq = msg.seq
-        self.deliveries.record(DeliveryRecord(
-            seq, msg.content, msg.created_at, now, supplier, via_gapfill))
+        self.deliveries.record(seq, msg.content, msg.created_at, now,
+                               supplier, via_gapfill)
         if runtime.trace_sink.active:
             runtime.trace("host.deliver", str(self.me), seq=seq,
                           sender=str(supplier), gapfill=via_gapfill)
@@ -293,8 +340,7 @@ class HostCore:
         self._next_seq += 1
         msg = DataMsg(seq, content, now, self.me, False, size_bits)
         self.store[seq] = msg
-        self.deliveries.record(DeliveryRecord(
-            seq, content, now, now, self.me, False))
+        self.deliveries.record(seq, content, now, now, self.me, False)
         if runtime.trace_sink.active:
             runtime.trace("source.broadcast", str(self.me), seq=seq,
                           while_crashed=self.crashed)

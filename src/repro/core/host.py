@@ -145,6 +145,8 @@ class BroadcastHost(HostCore):
         #: running total of (target, seq) suppression entries, so the
         #: fill-table bound never needs a full recount on the hot path
         self._fill_entries = 0
+        #: when the unbounded table was last swept of dead entries
+        self._fill_sweep = 0.0
         #: when each current child was (re)registered — reconcile grace
         self._child_since: Dict[HostId, float] = {}
         #: last time the current parent sent us data (or was adopted)
@@ -483,8 +485,18 @@ class BroadcastHost(HostCore):
         if seq not in fills:
             self._fill_entries += 1
         fills[seq] = now
-        if resources is not None:
+        if resources is not None and resources.bounds_fill_table:
             self._shed_fill_table(resources)
+        elif now - self._fill_sweep > self.config.gapfill_suppression:
+            # An entry at or below now - gapfill_suppression is dead in
+            # both modes (the adaptive window is clamped to at most
+            # that), so sweep the dead ones once per window.
+            self._fill_sweep = now
+            dead = now - self.config.gapfill_suppression
+            self._recent_fills = {
+                peer: live for peer, entries in self._recent_fills.items()
+                if (live := {s: t for s, t in entries.items() if t > dead})}
+            self._fill_entries = sum(map(len, self._recent_fills.values()))
         if gapfill:
             runtime.counter("proto.gapfill.sent").inc()
             if runtime.trace_sink.active:
@@ -529,8 +541,6 @@ class BroadcastHost(HostCore):
         window is nearest to expiring, so forgetting them early costs
         at most one duplicate fill — the cheapest possible loss.
         """
-        if not resources.bounds_fill_table:
-            return
         excess = self._fill_entries - resources.fill_table_limit
         if excess <= 0:
             return

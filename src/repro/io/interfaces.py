@@ -323,7 +323,7 @@ class Deployment:
 
     def delivered_seqnos(self) -> Dict[str, List[int]]:
         """Per-host sorted delivered sequence numbers (the parity unit)."""
-        return {str(h): sorted(r.seq for r in host.deliveries.records())
+        return {str(h): sorted(host.deliveries)
                 for h, host in self.hosts.items()}
 
 

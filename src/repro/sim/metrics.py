@@ -8,8 +8,9 @@ primitives plus the trace.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kernel import Simulator
@@ -54,16 +55,17 @@ class Gauge:
 class Histogram:
     """Exact histogram of observed samples with quantile queries.
 
-    Recording appends (O(1)); the samples are sorted when an
-    order-dependent statistic is next read, so a run that records many
-    and reads at the end sorts once.  Suitable for the sample counts
-    seen in these simulations (up to a few hundred thousand
-    observations).
+    Recording appends to a packed ``array('d')`` (O(1), 8 B per sample
+    plus the array's growth slack: about 8.4 B, against about 33 B for
+    a list of boxed floats).  The samples are sorted into a fresh array
+    when an order-dependent statistic is next read, so a run that
+    records many and reads at the end sorts once.  Values are the same
+    IEEE doubles either way.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._sorted_count = 0  # how many of _samples the last sort covered
         self._sum = 0.0
 
@@ -72,11 +74,11 @@ class Histogram:
         self._samples.append(value)
         self._sum += value
 
-    def _sorted(self) -> List[float]:
+    def _sorted(self) -> array:
         """The samples in ascending order (sorts if any were added)."""
         samples = self._samples
         if self._sorted_count != len(samples):
-            samples.sort()
+            samples = self._samples = array("d", sorted(samples))
             self._sorted_count = len(samples)
         return samples
 

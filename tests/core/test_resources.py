@@ -160,6 +160,31 @@ class TestFillTableShedding:
             assert total <= 5
 
 
+class TestFillTableSweep:
+    def test_unbounded_table_forgets_dead_entries(self):
+        """Without a fill-table bound, an entry older than
+        ``gapfill_suppression`` can never suppress a fill again, and the
+        table sheds such entries once per window: after a stream that
+        outlasts the window many times, every live entry is younger than
+        two windows, and the running count matches the table."""
+        sim = Simulator(seed=11)
+        built = wan_of_lans(sim, clusters=3, hosts_per_cluster=3,
+                            backbone="line")
+        config = ProtocolConfig(data_size_bits=4_000)
+        system = BroadcastSystem(built, config=config).start()
+        n = 300
+        system.broadcast_stream(n, interval=0.1, start_at=2.0)
+        assert system.run_until_delivered(n, timeout=600.0)
+        window = config.gapfill_suppression
+        assert sim.now > 10 * window
+        for host in system.hosts.values():
+            stamps = [when for fills in host._recent_fills.values()
+                      for when in fills.values()]
+            assert host._fill_entries == len(stamps)
+            if stamps:
+                assert min(stamps) > max(stamps) - 2 * window, host.me
+
+
 def stored_data():
     return DataMsg(seq=1, content="x", created_at=0.0, origin=HostId("h0.0"),
                    size_bits=4_000)

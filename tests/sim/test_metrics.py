@@ -1,6 +1,7 @@
 """Unit and property tests for metrics primitives."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -132,3 +133,20 @@ def test_histogram_reads_interleaved_with_observes_match_sorted(steps):
             assert h.stddev() == expected
         assert h.count == len(seen)
     assert h.sum == pytest.approx(math.fsum(seen), abs=1e-6)
+
+
+def test_histogram_retains_at_most_10_bytes_per_sample():
+    """Each sample is a fresh float, as a run's delays are; the
+    histogram keeps its value, not the object."""
+    n = 20_000
+    h = Histogram("delay")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            h.observe(i * 0.125 + 0.5)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert h.count == n and h.max == (n - 1) * 0.125 + 0.5
+    assert retained / n <= 10, f"{retained / n:.1f} B per sample"

@@ -26,7 +26,7 @@ Layers (each its own subpackage):
 * :mod:`repro.analysis` — cost/delay/reliability measurement
 * :mod:`repro.verify` — invariant oracles
 * :mod:`repro.scenarios` — the paper's figures as topologies
-* :mod:`repro.experiments` — runners for experiments E1..E19
+* :mod:`repro.experiments` — runners for experiments E1..E25 and their claims
 """
 
 from .baseline import (

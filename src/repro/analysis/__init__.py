@@ -6,7 +6,7 @@ from .cost import (
     cost_report,
     optimal_inter_cluster_cost,
 )
-from .delay import DelayStats, delay_stats, out_of_order_fraction, system_delay_stats
+from .delay import DelayStats, delay_stats, system_delay_stats
 from .reliability import (
     RecoveryLocality,
     delivery_fraction,
@@ -21,7 +21,6 @@ from .traffic import (
     CongestionReport,
     TrafficReport,
     congestion_report,
-    control_data_split,
     link_transmissions,
     traffic_report,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "aggregate_rows",
     "TrafficReport",
     "congestion_report",
-    "control_data_split",
     "cost_report",
     "delay_stats",
     "delivery_fraction",
@@ -45,7 +43,6 @@ __all__ = [
     "metrics_snapshot",
     "metrics_to_json",
     "optimal_inter_cluster_cost",
-    "out_of_order_fraction",
     "recovery_locality",
     "render_cluster_view",
     "render_parent_graph",

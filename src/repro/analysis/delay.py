@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 from ..core.delivery import DeliveryRecord
 from ..net import HostId
@@ -65,39 +65,21 @@ def system_delay_stats(
     records_by_host: Dict[HostId, List[DeliveryRecord]],
     source: HostId,
     since_seq: int = 0,
+    upto_seq: Optional[int] = None,
 ) -> DelayStats:
-    """Delays across all non-source hosts (optionally only seq > since_seq).
+    """Delays across all non-source hosts, of seqs in (since_seq, upto_seq].
 
     The source's own "deliveries" are instantaneous by construction and
-    would bias the statistics, so they are excluded.
+    would bias the statistics, so they are excluded.  ``upto_seq`` (no
+    bound by default) lets an open-loop run score only the messages
+    admitted during its measured window, so late admissions stay out
+    of the tail.
     """
     delays: List[float] = []
     for host_id, records in records_by_host.items():
         if host_id == source:
             continue
-        delays.extend(r.delay for r in records if r.seq > since_seq)
+        delays.extend(r.delay for r in records
+                      if r.seq > since_seq
+                      and (upto_seq is None or r.seq <= upto_seq))
     return delay_stats(delays)
-
-
-def out_of_order_fraction(
-    records_by_host: Dict[HostId, List[DeliveryRecord]],
-    source: HostId,
-) -> float:
-    """Fraction of deliveries that arrived after a higher-numbered one.
-
-    The paper deliberately tolerates out-of-order delivery (Section 1);
-    this quantifies how often it actually happens.
-    """
-    total = 0
-    late = 0
-    for host_id, records in records_by_host.items():
-        if host_id == source:
-            continue
-        by_time = sorted(records, key=lambda r: (r.delivered_at, r.seq))
-        max_seq = 0
-        for record in by_time:
-            total += 1
-            if record.seq < max_seq:
-                late += 1
-            max_seq = max(max_seq, record.seq)
-    return late / total if total else math.nan

@@ -12,7 +12,7 @@ Two of the paper's qualitative claims need per-link numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..net import HostId, Network
 from ..sim import Simulator
@@ -89,9 +89,3 @@ def congestion_report(sim: Simulator, network: Network,
         mean_access_tx=(sum(others) / len(others)) if others else 0.0,
         source_peak_queue=peak,
     )
-
-
-def control_data_split(sim: Simulator) -> Tuple[float, float]:
-    """(data msgs sent, control msgs sent) — the E6 measurement."""
-    report = traffic_report(sim)
-    return report.data_sent, report.control_sent

@@ -46,7 +46,6 @@ from .saturation import (
     CountingSource,
     SloSpec,
     arrival_times,
-    delivery_latency_stats,
     measure_capacity,
     schedule_open_loop,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "CountingSource",
     "SloSpec",
     "arrival_times",
-    "delivery_latency_stats",
     "measure_capacity",
     "schedule_open_loop",
     "run_e1_cost",

@@ -6,22 +6,36 @@ paper-style table.  Above each runner sit its claims: what that table
 must bear out, each with its paper section and threshold, written for
 the runner's defaults.  ``@register("EN", claims)`` adds the pair to
 the registry, in definition order; the order of this file is the
-canonical E-series order.  :func:`deploy` is the one place a protocol
-name becomes a started system; runners whose configs differ on purpose
-(E6b, E7, E8's tree, E9, E13-E15, E17, E18) build theirs explicitly.
-``python -m repro experiments`` runs every runner at its defaults and
-prints each table with its verdict; EXPERIMENTS.md records the output.
+canonical E-series order.  ``python -m repro experiments`` runs every
+runner at its defaults and prints each table with its verdict;
+EXPERIMENTS.md records the output.
+
+Every point is built and driven one way: :func:`_wan` makes the
+WAN-of-LANs topology on a fresh simulator, :func:`deploy` is the one
+place a protocol name becomes a started system, :func:`_stream` streams
+and waits, and :func:`_fan_out` runs a grid of points, serially or over
+worker processes.  Systems :func:`deploy` cannot start are built by
+hand, each for one reason:
+
+* E6b, E7 and E18 scale every period of the config by a factor
+  (``ProtocolConfig.scaled``), which no field override expresses;
+* E8's tree runs the default config, not ``for_scale``'s, on the
+  Figure 3.1 diamond;
+* E9 runs the default config with its own INFO, parent-timeout and
+  gap-fill periods;
+* E13 and E14 run several sources (``MultiSourceBroadcastSystem``).
 
 All runners are deterministic for a given ``seed``.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import math
 import os
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import (
     CounterSnapshot,
@@ -31,6 +45,7 @@ from ..analysis import (
     delivery_fraction,
     optimal_inter_cluster_cost,
     recovery_locality,
+    summarize,
     system_delay_stats,
     time_to_full_delivery,
     traffic_report,
@@ -43,6 +58,7 @@ from ..baseline import (
 )
 from ..core import BroadcastSystem, ClusterMode, ProtocolConfig, ResourceConfig
 from ..net import (
+    BuiltTopology,
     HostId,
     LinkFlapper,
     cheap_spec,
@@ -66,7 +82,6 @@ from .registry import register
 from .saturation import (
     CountingSource,
     SloSpec,
-    delivery_latency_stats,
     measure_capacity,
     schedule_open_loop,
 )
@@ -103,39 +118,90 @@ def deploy(protocol: str, built, **overrides):
     return system.start()
 
 
-def _map_items(executor: Optional[Executor],
-               items: Sequence[WorkItem]) -> List[Any]:
-    """Run work items (serially by default) and unwrap their values.
+def _wan(seed: int, clusters: int, hosts_per_cluster: int,
+         backbone: str = "line", **links: Any) -> BuiltTopology:
+    """Every WAN-of-LANs point's topology, on a fresh simulator at ``seed``;
+    ``links`` are the ``cheap``/``expensive`` link specs."""
+    return wan_of_lans(Simulator(seed=seed), clusters=clusters,
+                       hosts_per_cluster=hosts_per_cluster,
+                       backbone=backbone, **links)
 
-    Runners that fan out per grid point route *all* execution — serial
-    included — through this, so ``--jobs 1`` and ``--jobs N`` follow
-    the identical code path and merge rows in identical (submission)
-    order.  A failed point raises :class:`~repro.exec.ExecutionError`
-    naming the offending key.
+
+def _fan_out(executor: Optional[Executor], fn: Callable[..., Any],
+             params: Dict[str, Any], points: Sequence[Dict[str, Any]],
+             exp_id: str) -> List[Any]:
+    """Run ``fn`` once per point (serially by default); values in order.
+
+    Each call takes the point's own arguments plus the rest of ``fn``'s
+    from ``params``, the runner's parameters.  All execution, serial
+    included, goes through here, so ``--jobs 1`` and ``--jobs N`` merge
+    rows in identical (submission) order.  A failed point raises
+    :class:`~repro.exec.ExecutionError` naming ``exp_id`` and its values.
     """
+    shared = {name: params[name] for name in inspect.signature(fn).parameters
+              if name in params}
+    items = [WorkItem(key=(exp_id, *point.values()), fn=fn,
+                      kwargs={**shared, **point}) for point in points]
     return values_or_raise((executor or SerialExecutor()).map(items))
 
 
-def _run_stream(system, n: int, interval: float, warmup: int,
-                timeout: float, settle: float = 20.0,
-                ) -> Tuple[bool, float, CounterSnapshot, float]:
-    """Warmup, settle, snapshot, stream, wait.
+def _stream(system, n: int, interval: float = 1.0, *, start_at: float = 2.0,
+            warmup: int = 0, settle: float = 20.0,
+            until: Optional[float] = None, timeout: float = 600.0,
+            hosts: Optional[List[HostId]] = None,
+            ) -> Tuple[bool, CounterSnapshot]:
+    """Stream ``n`` messages from ``start_at``, run to ``until``, wait.
 
-    The settle phase lets the host parent graph converge (attachment,
-    leader election, gap-fill cleanup) before the measured window, so
-    marginal costs reflect steady state rather than tree construction.
-    Returns (ok, completion_time, snapshot, warmup_end_time).
+    With ``warmup``, that many go from ``start_at`` first; a ``settle``
+    phase then lets the host parent graph converge (attachment, leader
+    election, gap-fill cleanup), so marginal costs reflect steady state
+    rather than tree construction, and the measured ``n`` start one
+    second after it.  The wait is at most ``timeout`` (``0``: none) for
+    every host, or ``hosts``, to deliver it all.  Returns (delivered,
+    the counters as the measured stream was scheduled).
     """
     sim = system.sim
     if warmup:
-        system.broadcast_stream(warmup, interval=interval, start_at=sim.now + 1.0)
+        system.broadcast_stream(warmup, interval=interval, start_at=start_at)
         system.run_until_delivered(warmup, timeout=timeout)
         sim.run(until=sim.now + settle)
+        start_at = sim.now + 1.0
     snapshot = CounterSnapshot(sim)
-    warmup_end = sim.now
-    system.broadcast_stream(n, interval=interval, start_at=sim.now + 1.0)
-    ok = system.run_until_delivered(warmup + n, timeout=timeout)
-    return ok, sim.now, snapshot, warmup_end
+    system.broadcast_stream(n, interval=interval, start_at=start_at)
+    if until is not None:
+        sim.run(until=until)
+    return (system.run_until_delivered(warmup + n, timeout=timeout,
+                                       hosts=hosts), snapshot)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The mean, or NaN when there is nothing to average."""
+    return sum(values) / len(values) if values else float("nan")
+
+
+def _monitor(system, protocol: str = "tree"):
+    """Start sampling a tree run's §4.3 invariants (a baseline: None)."""
+    from ..verify import InvariantMonitor
+
+    if protocol != "tree":
+        return None
+    return InvariantMonitor(system, sample_period=1.0,
+                            stable_window=20.0).start()
+
+
+def _churn(system, heal_by: float, mean_up: float = 25.0,
+           mean_down: float = 5.0) -> Tuple[str, ...]:
+    """Crash and recover every non-source host at random until ``heal_by``;
+    returns their names."""
+    from ..chaos import ChaosPlan, ChaosSpec, HostChurnSpec
+
+    churned = tuple(str(h) for h in system.built.hosts
+                    if h != system.source_id)
+    ChaosPlan(system.sim, system, ChaosSpec(
+        heal_by=heal_by,
+        host_churn=(HostChurnSpec(churned, mean_up=mean_up,
+                                  mean_down=mean_down),))).start()
+    return churned
 
 
 # ----------------------------------------------------------------------
@@ -145,37 +211,35 @@ def _run_stream(system, n: int, interval: float, warmup: int,
 
 def _sweep_point(protocol: str, k: int, m: int, seed: int, n: int,
                  interval: float, warmup: int) -> Dict[str, float]:
-    sim = Simulator(seed=seed)
-    built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m, backbone="line")
-    system = deploy(protocol, built)
-    ok, done_at, snapshot, warmup_end = _run_stream(
-        system, n, interval, warmup, timeout=600.0)
-    cost = cost_report(sim, n, since=snapshot)
-    delays = system_delay_stats(system.delivery_records(), system.source_id,
-                                since_seq=warmup)
+    """One failure-free k x m point (E1, E2, E12): marginal cost and delay
+    of ``n`` messages streamed after ``warmup``."""
+    system = deploy(protocol, _wan(seed, k, m))
+    _, snapshot = _stream(system, n, interval, start_at=1.0, warmup=warmup)
+    cost = cost_report(system.sim, n, since=snapshot)
+    records = system.delivery_records()
+    delays = system_delay_stats(records, system.source_id, since_seq=warmup)
     return {
-        "ok": ok,
+        "delivered": delivery_fraction(records, warmup + n, system.source_id),
         "inter_cluster_per_msg": cost.inter_cluster_data_per_msg,
         "delay_mean": delays.mean,
         "delay_p99": delays.p99,
     }
 
 
-def _e1_e2_items(experiment: str, ks: Sequence[int], ms: Sequence[int],
-                 seed: int, n: int, interval: float,
-                 warmup: int) -> List[WorkItem]:
-    """(protocol, k, m) grid for E1/E2, in deterministic order."""
-    return [
-        WorkItem(key=(experiment, protocol, k, m), fn=_sweep_point,
-                 kwargs=dict(protocol=protocol, k=k, m=m, seed=seed, n=n,
-                             interval=interval, warmup=warmup))
-        for k in ks for m in ms for protocol in ("tree", "basic")
-    ]
+def _tree_vs_basic(exp_id: str, params: Dict[str, Any],
+                   executor: Optional[Executor]) -> List[Tuple[Any, ...]]:
+    """E1/E2's grid: ``(k, m, tree point, basic point)`` per shape."""
+    shapes = [(k, m) for k in params["ks"] for m in params["ms"]]
+    values = _fan_out(executor, _sweep_point, params,
+                      [dict(protocol=protocol, k=k, m=m) for k, m in shapes
+                       for protocol in ("tree", "basic")], exp_id)
+    return [(*shape, tree, basic) for shape, tree, basic
+            in zip(shapes, values[::2], values[1::2])]
 
 
 def _e1_claims(v: Judge) -> None:
-    v.each("§5 ¶2-3: tree <= 1.6 x (k-1) + 0.5",
-           lambda r: r["tree"] <= 1.6 * r["optimal"] + 0.5, "tree", "optimal")
+    v.each("§5 ¶2-3: tree = k-1 exactly (optimal)",
+           lambda r: r["tree"] == r["optimal"], "tree", "optimal")
     v.each("§5 ¶2-3: basic > tree once clusters hold several hosts",
            lambda r: r["basic"] > r["tree"], "basic", "tree",
            rows=[r for r in v.rows if r["hosts_per_cluster"] >= 2])
@@ -194,26 +258,19 @@ def run_e1_cost(seed: int = 1, ks: Sequence[int] = (2, 4, 6),
                 interval: float = 2.0, warmup: int = 5,
                 executor: Optional[Executor] = None) -> ExperimentResult:
     """E1: inter-cluster transmissions per message, tree vs basic."""
+    params = dict(locals())
     result = ExperimentResult(
         "E1", "Inter-cluster data transmissions per message (failure-free)",
         ["clusters", "hosts_per_cluster", "optimal", "tree", "basic",
          "tree_vs_optimal", "basic_vs_tree"])
-    items = _e1_e2_items("E1", ks, ms, seed, n, interval, warmup)
-    values = dict(zip((i.key for i in items), _map_items(executor, items)))
-    for k in ks:
-        for m in ms:
-            tree = values[("E1", "tree", k, m)]
-            basic = values[("E1", "basic", k, m)]
-            optimal = optimal_inter_cluster_cost(k)
-            result.add_row(
-                clusters=k, hosts_per_cluster=m, optimal=optimal,
-                tree=tree["inter_cluster_per_msg"],
-                basic=basic["inter_cluster_per_msg"],
-                tree_vs_optimal=(tree["inter_cluster_per_msg"] / optimal
-                                 if optimal else float("nan")),
-                basic_vs_tree=(basic["inter_cluster_per_msg"]
-                               / tree["inter_cluster_per_msg"]
-                               if tree["inter_cluster_per_msg"] else float("nan")))
+    for k, m, *points in _tree_vs_basic("E1", params, executor):
+        tree, basic = (point["inter_cluster_per_msg"] for point in points)
+        optimal = optimal_inter_cluster_cost(k)
+        result.add_row(
+            clusters=k, hosts_per_cluster=m, optimal=optimal,
+            tree=tree, basic=basic,
+            tree_vs_optimal=tree / optimal if optimal else float("nan"),
+            basic_vs_tree=basic / tree if tree else float("nan"))
     result.note("paper: tree needs k-1 (optimal); basic needs >= k-1, "
                 "growing with hosts per cluster")
     return result
@@ -240,21 +297,17 @@ def run_e2_delay(seed: int = 1, ks: Sequence[int] = (2, 4, 6),
                  interval: float = 2.0, warmup: int = 5,
                  executor: Optional[Executor] = None) -> ExperimentResult:
     """E2: delivery delay, tree vs basic (expected comparable)."""
+    params = dict(locals())
     result = ExperimentResult(
         "E2", "Delivery delay (failure-free)",
         ["clusters", "hosts_per_cluster", "tree_mean", "basic_mean",
          "tree_p99", "basic_p99"])
-    items = _e1_e2_items("E2", ks, ms, seed, n, interval, warmup)
-    values = dict(zip((i.key for i in items), _map_items(executor, items)))
-    for k in ks:
-        for m in ms:
-            tree = values[("E2", "tree", k, m)]
-            basic = values[("E2", "basic", k, m)]
-            result.add_row(clusters=k, hosts_per_cluster=m,
-                           tree_mean=tree["delay_mean"],
-                           basic_mean=basic["delay_mean"],
-                           tree_p99=tree["delay_p99"],
-                           basic_p99=basic["delay_p99"])
+    for k, m, tree, basic in _tree_vs_basic("E2", params, executor):
+        result.add_row(clusters=k, hosts_per_cluster=m,
+                       tree_mean=tree["delay_mean"],
+                       basic_mean=basic["delay_mean"],
+                       tree_p99=tree["delay_p99"],
+                       basic_p99=basic["delay_p99"])
     result.note("paper: delay comparable; basic rides shortest paths, tree "
                 "pays extra hops but avoids per-copy serialization at the source")
     return result
@@ -289,16 +342,13 @@ def run_e3_recovery(seed: int = 2, losses: Sequence[float] = (0.02, 0.05, 0.1, 0
          "local_fraction", "from_source_fraction", "delay_mean"])
     for loss in losses:
         for protocol in ("tree", "basic"):
-            sim = Simulator(seed=seed)
-            built = wan_of_lans(
-                sim, clusters=k, hosts_per_cluster=m, backbone="line",
-                cheap=cheap_spec(loss_prob=loss),
-                expensive=expensive_spec(loss_prob=loss))
-            system = deploy(protocol, built)
-            system.broadcast_stream(n, interval=interval, start_at=2.0)
-            system.run_until_delivered(n, timeout=600.0)
+            system = deploy(protocol, _wan(
+                seed, k, m, cheap=cheap_spec(loss_prob=loss),
+                expensive=expensive_spec(loss_prob=loss)))
+            _stream(system, n, interval)
             records = system.delivery_records()
-            locality = recovery_locality(records, built.network, system.source_id)
+            locality = recovery_locality(records, system.network,
+                                         system.source_id)
             delays = system_delay_stats(records, system.source_id)
             result.add_row(
                 loss=loss, protocol=protocol,
@@ -337,18 +387,15 @@ def run_e4_partition(seed: int = 3, k: int = 3, m: int = 2,
          "completion_after_heal_s"])
     start, end = partition
     for protocol in ("tree", "basic"):
-        sim = Simulator(seed=seed)
-        built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
-                            backbone="line")
+        built = _wan(seed, k, m)
         isolated = set(str(h) for h in built.clusters[-1])
         midstream_partition(built, cluster_index=k - 1, start=start, end=end)
         system = deploy(protocol, built)
-        system.broadcast_stream(n, interval=interval, start_at=2.0)
-        ok = system.run_until_delivered(n, timeout=600.0)
+        ok, _ = _stream(system, n, interval)
         completion = time_to_full_delivery(system.delivery_records(), n,
                                            system.source_id)
-        sends = [r for r in sim.trace.records(kind="net.host_send",
-                                              since=start)
+        sends = [r for r in system.sim.trace.records(kind="net.host_send",
+                                                     since=start)
                  if r.time < end and r["dst"] in isolated
                  and r.source not in isolated]
         result.add_row(
@@ -370,13 +417,9 @@ def run_e4_partition(seed: int = 3, k: int = 3, m: int = 2,
 def _e5_point(protocol: str, k: int, m: int, seed: int, n: int,
               interval: float) -> Dict[str, Any]:
     """One E5 grid point: build, stream, report congestion."""
-    sim = Simulator(seed=seed)
-    built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
-                        backbone="star")
-    system = deploy(protocol, built)
-    system.broadcast_stream(n, interval=interval, start_at=2.0)
-    system.run_until_delivered(n, timeout=600.0)
-    report = congestion_report(sim, built.network, system.source_id)
+    system = deploy(protocol, _wan(seed, k, m, "star"))
+    _stream(system, n, interval)
+    report = congestion_report(system.sim, system.network, system.source_id)
     return dict(hosts=k * m, protocol=protocol,
                 source_access_tx_per_msg=report.source_access_tx / n,
                 concentration=report.concentration,
@@ -403,17 +446,14 @@ def run_e5_congestion(seed: int = 4, k: int = 4,
                       interval: float = 1.0,
                       executor: Optional[Executor] = None) -> ExperimentResult:
     """E5: load concentration on the source's access link."""
+    params = dict(locals())
     result = ExperimentResult(
         "E5", "Source access-link load (congestion)",
         ["hosts", "protocol", "source_access_tx_per_msg", "concentration",
          "source_peak_queue"])
-    items = [
-        WorkItem(key=("E5", protocol, m), fn=_e5_point,
-                 kwargs=dict(protocol=protocol, k=k, m=m, seed=seed, n=n,
-                             interval=interval))
-        for m in ms for protocol in ("tree", "basic")
-    ]
-    for row in _map_items(executor, items):
+    for row in _fan_out(executor, _e5_point, params, [
+            dict(protocol=protocol, m=m)
+            for m in ms for protocol in ("tree", "basic")], "E5"):
         result.add_row(**row)
     result.note("paper: basic funnels one copy per destination through the "
                 "source's server; the tree distributes dissemination")
@@ -448,15 +488,11 @@ def run_e6_control(seed: int = 5, k: int = 3, m: int = 3,
          "data_sent"])
     for n in stream_sizes:
         for protocol in ("tree", "basic"):
-            sim = Simulator(seed=seed)
-            built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
-                                backbone="line")
-            system = deploy(protocol, built)
-            if n:
-                system.broadcast_stream(
-                    n, interval=(horizon * 0.7) / n, start_at=2.0)
-            sim.run(until=horizon)
-            report = traffic_report(sim)
+            system = deploy(protocol, _wan(seed, k, m))
+            # n = 0 streams nothing: control traffic alone
+            _stream(system, n, (horizon * 0.7) / max(n, 1), until=horizon,
+                    timeout=0.0)
+            report = traffic_report(system.sim)
             result.add_row(data_messages=n, protocol=protocol,
                            control_sent=report.control_sent,
                            control_per_s=report.control_sent / horizon,
@@ -483,14 +519,11 @@ def run_e6_tuning(seed: int = 5, k: int = 3, m: int = 3,
         "E6b", "Control traffic vs exchange-period scale factor (no data)",
         ["scale_factor", "control_sent", "control_per_s"])
     for factor in factors:
-        sim = Simulator(seed=seed)
-        built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
-                            backbone="line")
         config = ProtocolConfig.for_scale(
             k * m, data_size_bits=SWEEP_DATA_BITS).scaled(factor)
-        system = BroadcastSystem(built, config=config).start()
-        sim.run(until=horizon)
-        report = traffic_report(sim)
+        system = BroadcastSystem(_wan(seed, k, m), config=config).start()
+        system.sim.run(until=horizon)
+        report = traffic_report(system.sim)
         result.add_row(scale_factor=factor, control_sent=report.control_sent,
                        control_per_s=report.control_sent / horizon)
     result.note("paper: exchange frequencies 'can be adjusted as desired'")
@@ -500,6 +533,24 @@ def run_e6_tuning(seed: int = 5, k: int = 3, m: int = 3,
 # ----------------------------------------------------------------------
 # E7 — reliability vs cost under brief connectivity windows
 # ----------------------------------------------------------------------
+
+
+def _window_trial(seed: int, factor: float, window: WindowSpec,
+                  horizon: float, n: int,
+                  watch: Optional[Callable[[Any], Any]] = None,
+                  ) -> Tuple[Any, Any]:
+    """One E7/E18 trial to ``horizon`` on a 2 x 2 WAN whose trunk is up
+    only in windows, periods scaled by ``factor``.  Returns the system
+    and ``watch(system)``, an observer started before the stream."""
+    built = _wan(seed, 2, 2)
+    BriefWindowSchedule(built.network.sim, built, built.backbone, window,
+                        until=horizon)
+    config = ProtocolConfig(data_size_bits=SWEEP_DATA_BITS).scaled(factor)
+    system = BroadcastSystem(built, config=config).start()
+    observer = watch(system) if watch is not None else None
+    # The stream happens while the trunk is down.
+    _stream(system, n, 0.5, start_at=5.0, until=horizon, timeout=0.0)
+    return system, observer
 
 
 def _e7_claims(v: Judge) -> None:
@@ -526,8 +577,6 @@ def run_e7_tradeoff(seed: int = 6,
     how the protocol's (jittered) exchange phases happen to align with
     the connectivity windows.
     """
-    from ..analysis.stats import summarize
-
     result = ExperimentResult(
         "E7", "Reliability vs cost under brief connectivity windows",
         ["scale_factor", "delivered_fraction", "delivered_ci95",
@@ -536,22 +585,14 @@ def run_e7_tradeoff(seed: int = 6,
         fractions = []
         control_acc = expensive_acc = 0.0
         for trial in range(trials):
-            sim = Simulator(seed=seed + trial)
-            built = wan_of_lans(sim, clusters=2, hosts_per_cluster=2,
-                                backbone="line")
-            BriefWindowSchedule(sim, built, built.backbone, window,
-                                until=horizon)
-            config = ProtocolConfig(data_size_bits=SWEEP_DATA_BITS).scaled(factor)
-            system = BroadcastSystem(built, config=config).start()
-            # The stream happens while the trunk is down.
-            system.broadcast_stream(n, interval=0.5, start_at=5.0)
-            sim.run(until=horizon)
+            system, _ = _window_trial(seed + trial, factor, window, horizon, n)
             records = system.delivery_records()
-            cut_hosts = [h for h in built.hosts if str(h).startswith("h1")]
+            cut_hosts = [h for h in system.built.hosts
+                         if str(h).startswith("h1")]
             fractions.append(delivery_fraction(
                 {h: records[h] for h in cut_hosts}, n))
-            control_acc += traffic_report(sim).control_sent
-            expensive_acc += sim.metrics.counter(
+            control_acc += traffic_report(system.sim).control_sent
+            expensive_acc += system.sim.metrics.counter(
                 "net.h2h.recv.expensive.kind.control").value
         summary = summarize(fractions)
         result.add_row(scale_factor=factor,
@@ -588,25 +629,22 @@ def run_e8_fig31(seed: int = 7, n: int = 20, interval: float = 1.0,
         "E8", "Figure 3.1: link traversals per data message",
         ["scheme", "link_traversals_per_msg"])
     # Server multicast lower bound: every link exactly once.
-    sim0 = Simulator(seed=seed)
-    built0 = figure_3_1(sim0)
-    lower_bound = len(built0.network.links)
+    lower_bound = len(figure_3_1(Simulator(seed=seed)).network.links)
     result.add_row(scheme="server multicast (lower bound)",
                    link_traversals_per_msg=float(lower_bound))
     for protocol in ("tree", "basic"):
-        sim = Simulator(seed=seed)
-        built = figure_3_1(sim)
+        built = figure_3_1(Simulator(seed=seed))
         # Both protocols run their default (full-size) data messages.
         if protocol == "tree":
             system = BroadcastSystem(built, config=ProtocolConfig()).start()
         else:
             system = deploy("basic", built,
                             data_size_bits=BasicConfig.data_size_bits)
-        _, _, snapshot, _ = _run_stream(system, n, interval, warmup,
-                                        timeout=300.0)
+        _, snapshot = _stream(system, n, interval, start_at=1.0,
+                              warmup=warmup, timeout=300.0)
         # Count only data-message traversals (control excluded to match
         # the figure's argument about a single broadcast message).
-        data_tx = snapshot.delta(sim)["net.link_tx.kind.data"]
+        data_tx = snapshot.delta(system.sim)["net.link_tx.kind.data"]
         result.add_row(scheme=protocol, link_traversals_per_msg=data_tx / n)
     result.note("paper Section 3: without programmable servers no protocol "
                 "reaches the in-network lower bound (6 here); host-level "
@@ -724,20 +762,18 @@ def run_e10_ablation(seed: int = 9, k: int = 3, m: int = 3, n: int = 30,
          {"enable_delay_optimization": False}),
     ]
     for label, overrides in variants:
-        sim = Simulator(seed=seed)
-        built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
-                            backbone="ring")
+        built = _wan(seed, k, m, "ring")
         flapper = None
         if churn:
-            flapper = LinkFlapper(sim, built.network, built.backbone,
-                                  mean_up=25.0, mean_down=4.0).start()
+            flapper = LinkFlapper(built.network.sim, built.network,
+                                  built.backbone, mean_up=25.0,
+                                  mean_down=4.0).start()
         system = deploy("tree", built, **overrides)
-        system.broadcast_stream(n, interval=interval, start_at=2.0)
-        system.run_until_delivered(n, timeout=400.0)
+        _stream(system, n, interval, timeout=400.0)
         if flapper:
             flapper.stop()
         records = system.delivery_records()
-        cost = cost_report(sim, n)
+        cost = cost_report(system.sim, n)
         delays = system_delay_stats(records, system.source_id)
         result.add_row(variant=label,
                        delivered=delivery_fraction(records, n, system.source_id),
@@ -765,11 +801,8 @@ def run_e11_fig32(seed: int = 10, n: int = 10) -> ExperimentResult:
     result = ExperimentResult(
         "E11", "Figure 3.2: quiescent host parent graph induces a cluster tree",
         ["check", "violations"])
-    sim = Simulator(seed=seed)
-    built = figure_3_2(sim)
-    system = deploy("tree", built)
-    system.broadcast_stream(n, interval=1.0, start_at=2.0)
-    system.run_until_delivered(n, timeout=300.0)
+    system = deploy("tree", figure_3_2(Simulator(seed=seed)))
+    _stream(system, n, timeout=300.0)
     quiesced = run_to_quiescence(system, stable_window=15.0, timeout=200.0)
     result.add_row(check="reached quiescence", violations=0 if quiesced else 1)
     violations = check_all(system, quiescent=True)
@@ -806,21 +839,9 @@ def run_e12_epidemic(seed: int = 11, k: int = 3, m: int = 3, n: int = 20,
         "E12", "Tree vs basic vs anti-entropy epidemic",
         ["protocol", "delivered", "inter_cluster_per_msg", "delay_mean",
          "delay_p99"])
-    for protocol in ("tree", "basic", "epidemic"):
-        sim = Simulator(seed=seed)
-        built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
-                            backbone="line")
-        system = deploy(protocol, built)
-        _, _, snapshot, _ = _run_stream(system, n, interval, warmup,
-                                        timeout=600.0)
-        cost = cost_report(sim, n, since=snapshot)
-        records = system.delivery_records()
-        delays = system_delay_stats(records, system.source_id, since_seq=warmup)
-        result.add_row(protocol=protocol,
-                       delivered=delivery_fraction(records, warmup + n,
-                                                   system.source_id),
-                       inter_cluster_per_msg=cost.inter_cluster_data_per_msg,
-                       delay_mean=delays.mean, delay_p99=delays.p99)
+    for protocol in PROTOCOLS:
+        result.add_row(protocol=protocol, **_sweep_point(
+            protocol, k, m, seed, n, interval, warmup))
     result.note("epidemic gossip picks partners uniformly at random and so "
                 "pays heavily in inter-cluster traffic; the cluster tree "
                 "respects link costs")
@@ -830,6 +851,25 @@ def run_e12_epidemic(seed: int = 11, k: int = 3, m: int = 3, n: int = 20,
 # ----------------------------------------------------------------------
 # E13 — Section 6 optimization: control-message piggybacking
 # ----------------------------------------------------------------------
+
+
+def _multi_source(seed: int, k: int, m: int, count: int, n: int,
+                  stagger: float, **overrides: Any) -> Tuple[Any, bool]:
+    """One E13/E14 point: the first ``count`` hosts of a k x m WAN each
+    stream ``n`` messages, ``stagger`` seconds apart from 2 s; returns
+    (system, whether every host delivered every stream)."""
+    from ..core import MultiSourceBroadcastSystem
+
+    built = _wan(seed, k, m)
+    config = ProtocolConfig.for_scale(k * m, data_size_bits=SWEEP_DATA_BITS,
+                                      **overrides)
+    system = MultiSourceBroadcastSystem(built, sources=built.hosts[:count],
+                                        config=config).start()
+    for idx, src in enumerate(system.sources):
+        system.broadcast_stream(src, n, interval=1.0,
+                                start_at=2.0 + stagger * idx)
+    return system, system.run_until_delivered(
+        {s: n for s in system.sources}, timeout=400.0)
 
 
 def _e13_claims(v: Judge) -> None:
@@ -852,33 +892,20 @@ def run_e13_piggyback(seed: int = 12, k: int = 2, m: int = 3,
                       n_per_source: int = 5,
                       n_sources: Sequence[int] = (1, 2, 3)) -> ExperimentResult:
     """E13: piggybacking's packet/bit savings grow with concurrency."""
-    from ..core import MultiSourceBroadcastSystem
-
     result = ExperimentResult(
         "E13", "Control piggybacking (Section 6 optimization)",
         ["sources", "piggyback", "control_packets", "bundles",
          "delivered"])
     for count in n_sources:
         for piggy in (False, True):
-            sim = Simulator(seed=seed)
-            built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
-                                backbone="line")
-            sources = built.hosts[:count]
-            config = ProtocolConfig.for_scale(
-                k * m, enable_piggybacking=piggy,
-                data_size_bits=SWEEP_DATA_BITS)
-            system = MultiSourceBroadcastSystem(built, sources=sources,
-                                                config=config).start()
-            for idx, src in enumerate(sources):
-                system.broadcast_stream(src, n_per_source, interval=1.0,
-                                        start_at=2.0 + 0.3 * idx)
-            ok = system.run_until_delivered(
-                {s: n_per_source for s in sources}, timeout=400.0)
+            system, ok = _multi_source(seed, k, m, count, n_per_source, 0.3,
+                                       enable_piggybacking=piggy)
+            metrics = system.sim.metrics
             result.add_row(
                 sources=count, piggyback=piggy,
-                control_packets=sim.metrics.counter(
+                control_packets=metrics.counter(
                     "net.h2h.sent.kind.control").value,
-                bundles=sim.metrics.counter("piggyback.bundles").value,
+                bundles=metrics.counter("piggyback.bundles").value,
                 delivered=ok)
     result.note("paper Section 6: 'control messages that are dispatched by "
                 "the same host at about the same time can be piggybacked in "
@@ -907,29 +934,17 @@ def _e14_claims(v: Judge) -> None:
 def run_e14_multisource(seed: int = 13, k: int = 2, m: int = 3,
                         n: int = 10) -> ExperimentResult:
     """E14: running several identical single-source protocols."""
-    from ..core import MultiSourceBroadcastSystem
-
     result = ExperimentResult(
         "E14", "Multiple sources via parallel single-source instances",
         ["sources", "delivered", "control_per_s",
          "inter_cluster_data_per_msg", "delay_mean"])
     for count in (1, 2, 3):
-        sim = Simulator(seed=seed)
-        built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
-                            backbone="line")
-        sources = built.hosts[:count]
-        config = ProtocolConfig.for_scale(k * m,
-                                          data_size_bits=SWEEP_DATA_BITS)
-        system = MultiSourceBroadcastSystem(built, sources=sources,
-                                            config=config).start()
-        for idx, src in enumerate(sources):
-            system.broadcast_stream(src, n, interval=1.0,
-                                    start_at=2.0 + 0.5 * idx)
-        ok = system.run_until_delivered({s: n for s in sources}, timeout=400.0)
-        horizon = sim.now
+        system, ok = _multi_source(seed, k, m, count, n, 0.5)
+        metrics = system.sim.metrics
+        horizon = system.sim.now
         total_msgs = count * n
         delays: List[float] = []
-        for src in sources:
+        for src in system.sources:
             records = system.instances[src].delivery_records()
             for host_id, recs in records.items():
                 if host_id != src:
@@ -937,9 +952,9 @@ def run_e14_multisource(seed: int = 13, k: int = 2, m: int = 3,
         stats = delay_stats(delays)
         result.add_row(
             sources=count, delivered=ok,
-            control_per_s=sim.metrics.counter(
+            control_per_s=metrics.counter(
                 "net.h2h.sent.kind.control").value / horizon,
-            inter_cluster_data_per_msg=sim.metrics.counter(
+            inter_cluster_data_per_msg=metrics.counter(
                 "net.h2h.recv.expensive.kind.data").value / total_msgs,
             delay_mean=stats.mean)
     result.note("paper Section 2: 'a multiple-source broadcast can be "
@@ -977,26 +992,21 @@ def run_e15_load_adaptation(seed: int = 5, shift_at: float = 40.0,
         ["delay_optimization", "phase2_delay_mean", "phase2_delay_p99",
          "leader_migrated", "delivered"])
     for enabled in (True, False):
-        sim = Simulator(seed=seed)
-        built = load_shift_topology(sim)
-        config = dataclasses.replace(
-            ProtocolConfig.for_scale(len(built.hosts)),
-            enable_delay_optimization=enabled)
-        system = BroadcastSystem(built, source=HostId("src"),
-                                 config=config).start()
-        shift = apply_load_shift(sim, built, shift_at=shift_at)
-        system.broadcast_stream(n_phase1, interval=interval, start_at=5.0)
-        sim.run(until=shift_at)
-        c_leader_parent_before = {
-            str(h): str(system.hosts[h].parent)
-            for h in built.clusters[-1]}
+        built = load_shift_topology(Simulator(seed=seed))
+        # "src", the first host, is the source; full-size data messages
+        system = deploy("tree", built,
+                        data_size_bits=ProtocolConfig.data_size_bits,
+                        enable_delay_optimization=enabled)
+        shift = apply_load_shift(system.sim, built, shift_at=shift_at)
+        c_hosts = [system.hosts[h] for h in built.clusters[-1]]
+        _stream(system, n_phase1, interval, start_at=5.0, until=shift_at,
+                timeout=0.0)
+        c_leader_parent_before = [host.parent for host in c_hosts]
         system.broadcast_stream(n_phase2, interval=interval,
                                 start_at=shift_at + 1.0)
         ok = system.run_until_delivered(n_phase1 + n_phase2, timeout=600.0)
         shift.generator_phase2.stop()
-        c_leader_parent_after = {
-            str(h): str(system.hosts[h].parent)
-            for h in built.clusters[-1]}
+        c_leader_parent_after = [host.parent for host in c_hosts]
         delays = system_delay_stats(system.delivery_records(),
                                     system.source_id,
                                     since_seq=n_phase1 + 5)
@@ -1043,15 +1053,13 @@ def run_e16_clock_skew(seed: int = 14, k: int = 2, m: int = 3, n: int = 15,
         ["max_offset_s", "cluster_accuracy", "delivered",
          "inter_cluster_per_msg"])
     for max_offset in offsets:
-        sim = Simulator(seed=seed)
-        built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
-                            backbone="line")
+        built = _wan(seed, k, m)
+        sim = built.network.sim
         if max_offset:
             built.network.use_clocks(
                 ClockModel(sim).randomize(built.hosts, max_offset=max_offset))
         system = deploy("tree", built, cost_bit_mode=CostBitMode.TIMESTAMP)
-        system.broadcast_stream(n, interval=1.0, start_at=2.0)
-        ok = system.run_until_delivered(n, timeout=400.0)
+        ok, _ = _stream(system, n, timeout=400.0)
         sim.run(until=sim.now + 15.0)
         # Cluster-view accuracy against ground truth, over ordered pairs
         # where the host has actually heard from the peer.
@@ -1128,27 +1136,25 @@ def run_e17_design_ablation(seed: int = 4, k: int = 4, m: int = 4,
         ["variant", "delivered_fraction", "completion_s", "gapfills",
          "duplicates"])
     for label, overrides in variants:
-        sim = Simulator(seed=seed)
-        built = wan_of_lans(sim, clusters=k, hosts_per_cluster=m,
-                            backbone="line")
-        scheduler = PartitionScheduler(sim, built.network)
+        built = _wan(seed, k, m)
+        scheduler = PartitionScheduler(built.network.sim, built.network)
         cut_hosts = [h for cluster in built.clusters[k // 2:] for h in cluster]
         group = host_group(built.network, cut_hosts) + [
             f"s{i}" for i in range(k // 2, k)]
         scheduler.isolate(group, partition[0], partition[1])
-        config = dataclasses.replace(ProtocolConfig.for_scale(k * m),
-                                     **overrides)
-        system = BroadcastSystem(built, config=config).start()
-        system.broadcast_stream(n, interval=interval, start_at=2.0)
-        system.run_until_delivered(n, timeout=horizon)
+        # full-size data messages: the catch-up regime needs them
+        system = deploy("tree", built,
+                        data_size_bits=ProtocolConfig.data_size_bits,
+                        **overrides)
+        _stream(system, n, interval, timeout=horizon)
         records = system.delivery_records()
         completion = time_to_full_delivery(records, n, system.source_id)
         result.add_row(
             variant=label,
             delivered_fraction=delivery_fraction(records, n, system.source_id),
             completion_s=completion,
-            gapfills=sim.metrics.counter("proto.gapfill.sent").value,
-            duplicates=sim.metrics.counter(
+            gapfills=system.sim.metrics.counter("proto.gapfill.sent").value,
+            duplicates=system.sim.metrics.counter(
                 "proto.data.discard.duplicate").value)
     result.note("suppression and batching measurably cut waste and catch-up "
                 "time; the reconcile/refresh repairs are defense in depth "
@@ -1191,7 +1197,6 @@ def run_e18_relative_reliability(
     obligations met.  Slow exchange settings miss windows they were
     given — lower relative reliability, not just lower throughput.
     """
-    from ..analysis.stats import summarize
     from ..verify import OpportunityAuditor
 
     result = ExperimentResult(
@@ -1201,23 +1206,16 @@ def run_e18_relative_reliability(
     for factor in factors:
         relatives, absolutes, controls = [], [], []
         for trial in range(trials):
-            sim = Simulator(seed=seed + trial)
-            built = wan_of_lans(sim, clusters=2, hosts_per_cluster=2,
-                                backbone="line")
-            BriefWindowSchedule(sim, built, built.backbone, window,
-                                until=horizon)
-            config = ProtocolConfig(data_size_bits=SWEEP_DATA_BITS).scaled(factor)
-            system = BroadcastSystem(built, config=config).start()
-            auditor = OpportunityAuditor(
-                system, sample_period=1.0,
-                required_window=required_window).start()
-            system.broadcast_stream(n, interval=0.5, start_at=5.0)
-            sim.run(until=horizon)
+            system, auditor = _window_trial(
+                seed + trial, factor, window, horizon, n,
+                watch=lambda system: OpportunityAuditor(
+                    system, sample_period=1.0,
+                    required_window=required_window).start())
             auditor.stop()
             report = auditor.report()
             relatives.append(report.relative_reliability)
             absolutes.append(report.absolute_delivery)
-            controls.append(traffic_report(sim).control_sent)
+            controls.append(traffic_report(system.sim).control_sent)
         rel = summarize(relatives)
         result.add_row(scale_factor=factor,
                        relative_reliability=rel.mean,
@@ -1239,8 +1237,8 @@ def run_e18_relative_reliability(
 def _e19_claims(v: Judge) -> None:
     v.key = ("clusters", "servers_per_cluster", "hosts_per_server")
     v.each("§2 (clusters), §5: over multi-server clusters every shape "
-           "delivers with tree <= 1.4 x (k-1) + 0.3",
-           lambda r: r["delivered"] and r["tree"] <= 1.4 * r["optimal"] + 0.3,
+           "delivers with tree = k-1 exactly (optimal)",
+           lambda r: r["delivered"] and r["tree"] == r["optimal"],
            "delivered", "tree", "optimal")
 
 
@@ -1264,18 +1262,16 @@ def run_e19_hierarchical(seed: int = 17,
         ["clusters", "servers_per_cluster", "hosts_per_server", "hosts",
          "optimal", "tree", "delivered"])
     for clusters, servers, hosts_per in shapes:
-        sim = Simulator(seed=seed)
-        built = hierarchical_wan(sim, clusters=clusters,
-                                 servers_per_cluster=servers,
-                                 hosts_per_server=hosts_per,
-                                 backbone="line")
-        total_hosts = clusters * servers * hosts_per
-        system = deploy("tree", built)
-        ok, _, snapshot, _ = _run_stream(system, n, interval, warmup,
-                                         timeout=600.0)
-        cost = cost_report(sim, n, since=snapshot)
+        system = deploy("tree", hierarchical_wan(
+            Simulator(seed=seed), clusters=clusters,
+            servers_per_cluster=servers, hosts_per_server=hosts_per,
+            backbone="line"))
+        ok, snapshot = _stream(system, n, interval, start_at=1.0,
+                               warmup=warmup)
+        cost = cost_report(system.sim, n, since=snapshot)
         result.add_row(clusters=clusters, servers_per_cluster=servers,
-                       hosts_per_server=hosts_per, hosts=total_hosts,
+                       hosts_per_server=hosts_per,
+                       hosts=clusters * servers * hosts_per,
                        optimal=optimal_inter_cluster_cost(clusters),
                        tree=cost.inter_cluster_data_per_msg,
                        delivered=ok)
@@ -1296,64 +1292,36 @@ def _e20_protocol(protocol: str, seed: int, clusters: int,
                   crash_stable_lag: int,
                   horizon: float) -> List[Dict[str, Any]]:
     """One E20 protocol run; returns the 'all' row plus per-host rows."""
-    from ..chaos import ChaosPlan, ChaosSpec, HostChurnSpec
-    from ..verify import InvariantMonitor
-
-    sim = Simulator(seed=seed)
-    built = wan_of_lans(sim, clusters=clusters,
-                        hosts_per_cluster=hosts_per_cluster,
-                        backbone="line")
-    system = deploy(protocol, built, crash_stable_lag=crash_stable_lag)
-    monitor = None
-    if protocol == "tree":
-        monitor = InvariantMonitor(system, sample_period=1.0,
-                                   stable_window=20.0).start()
-    churned = tuple(str(h) for h in built.hosts
-                    if h != system.source_id)
-    ChaosPlan(sim, system, ChaosSpec(
-        heal_by=heal_by,
-        host_churn=(HostChurnSpec(churned, mean_up=mean_up,
-                                  mean_down=mean_down),))).start()
-    system.broadcast_stream(n, interval=interval, start_at=2.0)
-    sim.run(until=heal_by + 1.0)  # let the full churn window play out
-    system.run_until_delivered(n, timeout=horizon)
-    stable: Any
+    system = deploy(protocol, _wan(seed, clusters, hosts_per_cluster),
+                    crash_stable_lag=crash_stable_lag)
+    monitor = _monitor(system, protocol)
+    churned = _churn(system, heal_by, mean_up, mean_down)
+    # let the full churn window play out before waiting
+    _stream(system, n, interval, until=heal_by + 1.0, timeout=horizon)
+    stable: Any = "-"  # tree-structure invariants do not apply
     if monitor is not None:
         monitor.stop()
         stable = len(monitor.report().stable_violations)
-    else:
-        stable = "-"  # tree-structure invariants do not apply
 
     recoveries: Dict[str, List[float]] = {}
-    for record in sim.trace.records(kind="host.recovery_delivery"):
+    for record in system.sim.trace.records(kind="host.recovery_delivery"):
         recoveries.setdefault(record.source, []).append(
             record.fields["elapsed"])
-    crash_counts: Dict[str, int] = {}
-    for record in sim.trace.records(kind="host.crash"):
-        crash_counts[record.source] = crash_counts.get(record.source, 0) + 1
+    crash_counts = Counter(record.source for record in
+                           system.sim.trace.records(kind="host.crash"))
 
+    records = system.delivery_records()
     all_times = [t for times in recoveries.values() for t in times]
-    rows: List[Dict[str, Any]] = [dict(
-        protocol=protocol, scope="all",
-        delivered=delivery_fraction(system.delivery_records(), n,
-                                    system.source_id),
-        crashes=sum(crash_counts.values()),
-        recovery_mean_s=(sum(all_times) / len(all_times)
-                         if all_times else float("nan")),
-        recovery_max_s=max(all_times) if all_times else float("nan"),
-        stable_violations=stable)]
-    for host in churned:
-        times = recoveries.get(host, [])
-        delivered = sum(1 for seq in range(1, n + 1)
-                        if seq in system.hosts[HostId(host)].deliveries)
-        rows.append(dict(
-            protocol=protocol, scope=host, delivered=delivered / n,
-            crashes=crash_counts.get(host, 0),
-            recovery_mean_s=(sum(times) / len(times)
-                             if times else float("nan")),
-            recovery_max_s=max(times) if times else float("nan"),
-            stable_violations="-"))
-    return rows
+    scopes = [("all", records, sum(crash_counts.values()), all_times, stable)]
+    scopes += [(host, {HostId(host): records[HostId(host)]},
+                crash_counts[host], recoveries.get(host, []), "-")
+               for host in churned]
+    return [dict(protocol=protocol, scope=scope,
+                 delivered=delivery_fraction(scoped, n, system.source_id),
+                 crashes=crashes, recovery_mean_s=_mean(times),
+                 recovery_max_s=max(times) if times else float("nan"),
+                 stable_violations=violations)
+            for scope, scoped, crashes, times, violations in scopes]
 
 
 def _e20_claims(v: Judge) -> None:
@@ -1391,21 +1359,13 @@ def run_e20_host_churn(seed: int = 18, clusters: int = 3,
     gap-fills everything above its stable prefix.  Recovery time is
     measured crash → first post-recovery delivery.
     """
+    params = dict(locals())
     result = ExperimentResult(
         "E20", "Reliability and recovery latency under host churn",
         ["protocol", "scope", "delivered", "crashes",
          "recovery_mean_s", "recovery_max_s", "stable_violations"])
-    items = [
-        WorkItem(key=("E20", protocol), fn=_e20_protocol,
-                 kwargs=dict(protocol=protocol, seed=seed, clusters=clusters,
-                             hosts_per_cluster=hosts_per_cluster, n=n,
-                             interval=interval, heal_by=heal_by,
-                             mean_up=mean_up, mean_down=mean_down,
-                             crash_stable_lag=crash_stable_lag,
-                             horizon=horizon))
-        for protocol in ("tree", "basic")
-    ]
-    for rows in _map_items(executor, items):
+    for rows in _fan_out(executor, _e20_protocol, params, [
+            dict(protocol=protocol) for protocol in ("tree", "basic")], "E20"):
         for row in rows:
             result.add_row(**row)
     result.note("recovery_*_s is crash -> first post-recovery delivery; a "
@@ -1434,21 +1394,17 @@ def _e21_point(point: Sequence, mode: str, seed: int, clusters: int,
                horizon: float) -> Dict[str, Any]:
     """One E21 grid point: one operating point under one control plane."""
     from ..chaos import ChaosPlan, ChaosSpec, HostOutageSpec, PacketFaultSpec
-    from ..verify import InvariantMonitor
 
     label, loss, corrupt, delay_prob, delay, replay = point
-    sim = Simulator(seed=seed)
-    built = wan_of_lans(
-        sim, clusters=clusters, hosts_per_cluster=hosts_per_cluster,
-        backbone="line", expensive=expensive_spec(loss_prob=loss))
-    system = deploy("tree", built, crash_stable_lag=1,
-                    adaptive=(mode == "adaptive"))
-    monitor = InvariantMonitor(system, sample_period=1.0,
-                               stable_window=20.0).start()
+    system = deploy("tree", _wan(seed, clusters, hosts_per_cluster,
+                                 expensive=expensive_spec(loss_prob=loss)),
+                    crash_stable_lag=1, adaptive=(mode == "adaptive"))
+    sim = system.sim
+    monitor = _monitor(system)
     # Two mid-stream outages give every point a recovery probe; ends
     # stay well before heal_by so recovery happens *under* the packet
     # faults, where the control planes differ.
-    victims = [str(h) for h in built.hosts if h != system.source_id]
+    victims = [str(h) for h in system.built.hosts if h != system.source_id]
     faults: Tuple[PacketFaultSpec, ...] = ()
     if corrupt or delay_prob or replay:
         faults = (PacketFaultSpec(
@@ -1460,18 +1416,15 @@ def _e21_point(point: Sequence, mode: str, seed: int, clusters: int,
         host_outages=(HostOutageSpec(victims[1], 10.0, 14.0),
                       HostOutageSpec(victims[-1], 18.0, 22.0)),
         packet_faults=faults)).start()
-    system.broadcast_stream(n, interval=interval, start_at=2.0)
-    sim.run(until=measure_at)
+    _stream(system, n, interval, until=measure_at, timeout=0.0)
     delivered = delivery_fraction(system.delivery_records(), n,
                                   system.source_id)
     system.run_until_delivered(n, timeout=horizon)
     monitor.stop()
-    times = monitor.report().recovery_times()
     metrics = sim.metrics
     return dict(
         point=label, mode=mode, delivered=delivered,
-        recovery_mean_s=(sum(times) / len(times)
-                         if times else float("nan")),
+        recovery_mean_s=_mean(monitor.report().recovery_times()),
         control_msgs=metrics.counter("net.h2h.sent.kind.control").value,
         corrupt_dropped=metrics.counter(
             "proto.wire.corrupt_dropped").value,
@@ -1480,21 +1433,11 @@ def _e21_point(point: Sequence, mode: str, seed: int, clusters: int,
         attach_timeouts=metrics.counter("proto.attach.timeouts").value)
 
 
-def _e21_items(seed: int, clusters: int, hosts_per_cluster: int, n: int,
-               interval: float, heal_by: float, measure_at: float,
-               horizon: float,
-               points: Optional[Sequence] = None) -> List[WorkItem]:
+def _e21_grid(points: Optional[Sequence]) -> List[Dict[str, Any]]:
     """The seed-matched (point, mode) grid E21 and E22 both fan out."""
-    return [
-        WorkItem(key=("E21", point[0], mode), fn=_e21_point,
-                 kwargs=dict(point=tuple(point), mode=mode, seed=seed,
-                             clusters=clusters,
-                             hosts_per_cluster=hosts_per_cluster, n=n,
-                             interval=interval, heal_by=heal_by,
-                             measure_at=measure_at, horizon=horizon))
-        for point in (points if points is not None else E21_POINTS)
-        for mode in ("fixed", "adaptive")
-    ]
+    return [dict(point=tuple(point), mode=mode)
+            for point in (points if points is not None else E21_POINTS)
+            for mode in ("fixed", "adaptive")]
 
 
 def _e21_claims(v: Judge) -> None:
@@ -1538,13 +1481,13 @@ def run_e21_adversarial_timing(seed: int = 21, clusters: int = 3,
     at ``measure_at`` (before unlimited catch-up time); recovery is
     crash -> first post-recovery delivery via the InvariantMonitor.
     """
+    params = dict(locals())
     result = ExperimentResult(
         "E21", "Adversarial packet timing: fixed vs adaptive control plane",
         ["point", "mode", "delivered", "recovery_mean_s", "control_msgs",
          "corrupt_dropped", "dup_suppressed", "attach_timeouts"])
-    items = _e21_items(seed, clusters, hosts_per_cluster, n, interval,
-                       heal_by, measure_at, horizon, points)
-    for row in _map_items(executor, items):
+    for row in _fan_out(executor, _e21_point, params, _e21_grid(points),
+                        "E21"):
         result.add_row(**row)
     result.note("seed-matched pairs: each point runs the identical seed, "
                 "topology, chaos schedule, and workload under both control "
@@ -1582,32 +1525,32 @@ def run_e22_parallel_speedup(seed: int = 21,
     every other E-series table, the wall columns are hardware-dependent
     — only the parity column is deterministic.
     """
+    params = dict(locals())
     from ..exec import make_executor
 
     result = ExperimentResult(
         "E22", "Execution engine: speedup and determinism parity (E21 grid)",
         ["jobs", "grid_points", "wall_s", "speedup", "rows_match_serial"])
-    items = _e21_items(seed, clusters, hosts_per_cluster, n, interval,
-                       heal_by, measure_at, horizon, points)
+    grid = _e21_grid(points)
     serial_rows: Optional[List[Dict[str, Any]]] = None
     serial_wall = float("nan")
     speedups = []
     for jobs in jobs_list:
         executor = make_executor(jobs)
         start = time.perf_counter()
-        rows = _map_items(executor, items)
+        rows = _fan_out(executor, _e21_point, params, grid, "E21")
         wall = time.perf_counter() - start
         if serial_rows is None:
             # First entry is the reference; jobs_list conventionally
             # starts at 1 so the reference *is* the serial path.
             serial_rows, serial_wall = rows, wall
         # repr() is float-exact and nan-safe, unlike ==.
-        result.add_row(jobs=jobs, grid_points=len(items), wall_s=wall,
+        result.add_row(jobs=jobs, grid_points=len(grid), wall_s=wall,
                        speedup=serial_wall / wall,
                        rows_match_serial=(repr(rows) == repr(serial_rows)))
         speedups.append(f"{serial_wall / wall:.2f}x at jobs={jobs}")
     result.note(f"host has {os.cpu_count()} CPU core(s); serial wall "
-                f"{1000 * serial_wall / max(len(items), 1):.0f} ms per grid "
+                f"{1000 * serial_wall / max(len(grid), 1):.0f} ms per grid "
                 f"point; speedup {', '.join(speedups)}; parity must hold "
                 "everywhere")
     return result
@@ -1663,13 +1606,11 @@ def run_e23_fuzz_campaign(seed: int = 7, trials: int = 10,
             options=FuzzOptions(protocol=protocol),
             executor=executor, max_shrink_evals=max_shrink_evals)
         counts = summary.counts()
-        ratios = summary.shrink_ratios()
         result.add_row(
             protocol=protocol, trials=trials, clean=summary.clean,
             stable_violation=counts.get("stable_violation", 0),
             no_eventual_delivery=counts.get("no_eventual_delivery", 0),
-            shrink_ratio_mean=(sum(ratios) / len(ratios)
-                               if ratios else float("nan")),
+            shrink_ratio_mean=_mean(summary.shrink_ratios()),
             min_repro_events=(summary.min_repro_events()
                               if summary.min_repro_events() is not None
                               else "-"))
@@ -1690,16 +1631,12 @@ def _e24_placements(seed: int, clusters: int, hosts_per_cluster: int
     same slots are reused for every protocol, so the sweep compares
     protocols under identical adversary placement.
     """
-    sim = Simulator(seed=seed)
-    built = wan_of_lans(sim, clusters=clusters,
-                        hosts_per_cluster=hosts_per_cluster,
-                        backbone="line")
-    system = deploy("tree", built)
+    system = deploy("tree", _wan(seed, clusters, hosts_per_cluster))
     run_to_quiescence(system)
     parents = {str(p) for p in system.parent_edges().values()
                if p is not None}
     source = str(system.source_id)
-    hosts = sorted(str(h) for h in built.hosts if str(h) != source)
+    hosts = sorted(str(h) for h in system.built.hosts if str(h) != source)
     interior = [h for h in hosts if h in parents]
     leaves = [h for h in hosts if h not in parents]
     return interior, leaves
@@ -1721,31 +1658,25 @@ def _e24_point(protocol: str, seed: int, clusters: int,
                start_at: float, horizon: float) -> Dict[str, Any]:
     """One E24 grid point: one protocol under one adversary deployment."""
     from ..chaos import AdversarySpec, ChaosPlan, ChaosSpec
-    from ..verify import (InvariantMonitor, classify_containment,
-                          classify_spans, worst_status)
+    from ..verify import classify_containment, classify_spans, worst_status
 
-    sim = Simulator(seed=seed)
-    built = wan_of_lans(sim, clusters=clusters,
-                        hosts_per_cluster=hosts_per_cluster,
-                        backbone="line")
-    system = deploy(protocol, built)
-    monitor = None
-    if protocol == "tree":
-        monitor = InvariantMonitor(system, sample_period=1.0,
-                                   stable_window=20.0).start()
+    system = deploy(protocol, _wan(seed, clusters, hosts_per_cluster))
+    sim = system.sim
+    monitor = _monitor(system, protocol)
     if adversary_hosts:
         ChaosPlan(sim, system, ChaosSpec(
             heal_by=start_at + 1.0,
             adversaries=tuple(AdversarySpec(host=h, persona=persona,
                                             start=start_at)
                               for h in adversary_hosts))).start()
-    correct = [h for h in built.hosts if str(h) not in set(adversary_hosts)]
-    system.broadcast_stream(n, interval=interval, start_at=2.0)
-    correct_ok = system.run_until_delivered(
-        n, timeout=horizon, hosts=correct if adversary_hosts else None)
+    correct = [h for h in system.built.hosts
+               if str(h) not in set(adversary_hosts)]
+    correct_ok, _ = _stream(system, n, interval, timeout=horizon,
+                            hosts=correct if adversary_hosts else None)
 
     containment: Any = "-"
-    contained = broken = 0
+    contained: Any = "-"
+    broken: Any = "-"
     if monitor is not None:
         # settle one stable window so end-of-run streaks are judged
         sim.run(until=sim.now + 21.0)
@@ -1754,25 +1685,21 @@ def _e24_point(protocol: str, seed: int, clusters: int,
                    + classify_containment(system, adversary_hosts))
         containment = worst_status(results)
         adv = set(adversary_hosts)
-        for result in results:
-            for hosts in result.violations:
-                if any(h in adv for h in hosts):
-                    contained += 1
-                else:
-                    broken += 1
+        touches_adversary = [any(h in adv for h in hosts) for result in results
+                             for hosts in result.violations]
+        contained = touches_adversary.count(True)
+        broken = touches_adversary.count(False)
 
-    delivered_pairs = sum(
-        1 for host in correct for seq in range(1, n + 1)
-        if seq in system.hosts[host].deliveries)
+    records = system.delivery_records()
     return dict(
         protocol=protocol, k=len(adversary_hosts),
         persona=persona if adversary_hosts else "-",
         placement=placement if adversary_hosts else "-",
         adversaries=",".join(adversary_hosts) or "-",
-        correct_delivered=delivered_pairs / (len(correct) * n),
+        correct_delivered=delivery_fraction(
+            {h: records[h] for h in correct}, n),
         correct_ok=correct_ok, containment=containment,
-        contained=contained if monitor is not None else "-",
-        broken=broken if monitor is not None else "-")
+        contained=contained, broken=broken)
 
 
 def _e24_claims(v: Judge) -> None:
@@ -1823,6 +1750,7 @@ def run_e24_adversary_containment(
     basic algorithm or the redundant epidemic baseline — hurts nobody
     but itself.
     """
+    params = dict(locals())
     from ..chaos import PERSONAS
 
     chosen = tuple(personas) if personas is not None else PERSONAS
@@ -1832,7 +1760,7 @@ def run_e24_adversary_containment(
         ["protocol", "k", "persona", "placement", "adversaries",
          "correct_delivered", "correct_ok", "containment", "contained",
          "broken"])
-    items = []
+    points = []
     for protocol in PROTOCOLS:
         for k in ks:
             if k == 0:
@@ -1841,18 +1769,11 @@ def run_e24_adversary_containment(
                 grid = [(persona, placement) for persona in chosen
                         for placement in ("interior", "leaf")]
             for persona, placement in grid:
-                hosts = (_e24_slots(placement, k, interior, leaves)
-                         if k else ())
-                items.append(WorkItem(
-                    key=("E24", protocol, k, persona, placement),
-                    fn=_e24_point,
-                    kwargs=dict(protocol=protocol, seed=seed,
-                                clusters=clusters,
-                                hosts_per_cluster=hosts_per_cluster,
-                                n=n, interval=interval, persona=persona,
-                                placement=placement, adversary_hosts=hosts,
-                                start_at=start_at, horizon=horizon)))
-    for row in _map_items(executor, items):
+                points.append(dict(
+                    protocol=protocol, persona=persona, placement=placement,
+                    adversary_hosts=(_e24_slots(placement, k, interior,
+                                                leaves) if k else ())))
+    for row in _fan_out(executor, _e24_point, params, points, "E24"):
         result.add_row(**row)
     result.note("adversary slots are derived from the fault-free tree "
                 f"(interior: {','.join(interior) or '-'}; leaves: "
@@ -1888,10 +1809,8 @@ def _e25_resources(capacity: float) -> ResourceConfig:
 def _e25_capacity(protocol: str, seed: int, clusters: int,
                   hosts_per_cluster: int, probe_n: int) -> float:
     """Closed-loop capacity probe for one (unshed) protocol family."""
-    sim = Simulator(seed=seed)
-    built = wan_of_lans(sim, clusters=clusters,
-                        hosts_per_cluster=hosts_per_cluster, backbone="line")
-    return measure_capacity(deploy(protocol, built), n=probe_n)
+    return measure_capacity(
+        deploy(protocol, _wan(seed, clusters, hosts_per_cluster)), n=probe_n)
 
 
 def _e25_point(protocol: str, shape: str, utilization: float,
@@ -1900,26 +1819,19 @@ def _e25_point(protocol: str, shape: str, utilization: float,
                churn: bool, slo: Tuple[Optional[float], Optional[float],
                                        Optional[float]]) -> Dict[str, Any]:
     """One E25 grid point: one protocol under one sustained load window."""
-    from ..chaos import ChaosPlan, ChaosSpec, HostChurnSpec
     from ..verify import OverloadMonitor
 
-    sim = Simulator(seed=seed)
-    built = wan_of_lans(sim, clusters=clusters,
-                        hosts_per_cluster=hosts_per_cluster, backbone="line")
+    built = _wan(seed, clusters, hosts_per_cluster)
     if protocol == "tree+shed":
         system = deploy("tree", built, resources=_e25_resources(capacity))
     else:
         system = deploy(protocol, built)
+    sim = system.sim
     monitor = OverloadMonitor(sim, built.network, system=system).start()
 
     start_at = 5.0  # let the tree attach before the load window opens
     if churn:
-        churned = tuple(str(h) for h in built.hosts
-                        if h != system.source_id)
-        ChaosPlan(sim, system, ChaosSpec(
-            heal_by=start_at + duration,
-            host_churn=(HostChurnSpec(churned, mean_up=25.0,
-                                      mean_down=5.0),))).start()
+        _churn(system, heal_by=start_at + duration)
     counting = CountingSource(system.source)
     offered = schedule_open_loop(sim, counting, shape,
                                  rate=utilization * capacity,
@@ -1934,8 +1846,8 @@ def _e25_point(protocol: str, shape: str, utilization: float,
     monitor.stop()
     report = monitor.report(delivered_ok)
 
-    stats = delivery_latency_stats(system.delivery_records(),
-                                   system.source_id, upto_seq=admitted)
+    stats = system_delay_stats(system.delivery_records(), system.source_id,
+                               upto_seq=admitted)
     slo_ok, failures = SloSpec(*slo).evaluate(stats)
     shed = int(sum(sim.metrics.counter(f"proto.shed.{buffer}").value
                    for buffer in ("store", "fill_table", "outbound")))
@@ -2012,13 +1924,10 @@ def run_e25_saturation(
     E20-style host churn on the shedding tree (the epidemic baseline
     has no crash model), churn healing when the load window closes.
     """
-    probes = [WorkItem(key=("E25", "capacity", protocol), fn=_e25_capacity,
-                       kwargs=dict(protocol=protocol, seed=seed,
-                                   clusters=clusters,
-                                   hosts_per_cluster=hosts_per_cluster,
-                                   probe_n=probe_n))
-              for protocol in PROTOCOLS]
-    capacity = dict(zip(PROTOCOLS, _map_items(executor, probes)))
+    params = dict(locals())
+    capacity = dict(zip(PROTOCOLS, _fan_out(
+        executor, _e25_capacity, params,
+        [dict(protocol=protocol) for protocol in PROTOCOLS], "E25")))
     capacity["tree+shed"] = capacity["tree"]  # same protocol family
 
     result = ExperimentResult(
@@ -2026,32 +1935,16 @@ def run_e25_saturation(
         ["protocol", "shape", "util", "churn", "offered", "admitted",
          "delivered_ok", "p50_s", "p99_s", "p999_s", "slo", "verdict",
          "peak_queue", "peak_store", "shed", "rejected", "worst_link"])
-    items = []
-    for protocol in protocols:
-        for shape in shapes:
-            for utilization in utilizations:
-                items.append(WorkItem(
-                    key=("E25", protocol, shape, utilization),
-                    fn=_e25_point,
-                    kwargs=dict(protocol=protocol, shape=shape,
-                                utilization=utilization,
-                                capacity=capacity[protocol], seed=seed,
-                                clusters=clusters,
-                                hosts_per_cluster=hosts_per_cluster,
-                                duration=duration, drain=drain,
-                                churn=False, slo=slo)))
+    points = [dict(protocol=protocol, shape=shape, utilization=utilization,
+                   capacity=capacity[protocol], churn=False)
+              for protocol in protocols for shape in shapes
+              for utilization in utilizations]
     if "tree+shed" in protocols:
-        items.append(WorkItem(
-            key=("E25", "tree+shed", shapes[0], max(utilizations), "churn"),
-            fn=_e25_point,
-            kwargs=dict(protocol="tree+shed", shape=shapes[0],
-                        utilization=max(utilizations),
-                        capacity=capacity["tree+shed"], seed=seed,
-                        clusters=clusters,
-                        hosts_per_cluster=hosts_per_cluster,
-                        duration=duration, drain=3 * drain, churn=True,
-                        slo=slo)))
-    for row in _map_items(executor, items):
+        points.append(dict(protocol="tree+shed", shape=shapes[0],
+                           utilization=max(utilizations),
+                           capacity=capacity["tree+shed"], churn=True,
+                           drain=3 * drain))
+    for row in _fan_out(executor, _e25_point, params, points, "E25"):
         result.add_row(**row)
     result.note("capacities (msg/s): " + ", ".join(
         f"{p}={capacity[p]:.2f}" for p in PROTOCOLS) +

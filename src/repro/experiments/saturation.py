@@ -28,9 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
-from ..analysis.delay import DelayStats, delay_stats
-from ..core.delivery import DeliveryRecord
-from ..net import HostId
+from ..analysis.delay import DelayStats
 from ..sim import Simulator
 
 
@@ -252,26 +250,3 @@ class SloSpec:
             elif measured > gate:
                 failures.append(f"{name} {measured:.2f}s > {gate:.2f}s")
         return (not failures, tuple(failures))
-
-
-def delivery_latency_stats(
-    records_by_host: Dict[HostId, List[DeliveryRecord]],
-    source: HostId,
-    since_seq: int = 0,
-    upto_seq: Optional[int] = None,
-) -> DelayStats:
-    """Per-message delivery-latency stats over an admitted window.
-
-    Like :func:`~repro.analysis.delay.system_delay_stats` but bounded
-    above as well: open-loop runs must score only the messages actually
-    admitted during the measured window, or rejected/late admissions
-    would contaminate the tail.
-    """
-    delays: List[float] = []
-    for host_id, records in records_by_host.items():
-        if host_id == source:
-            continue
-        delays.extend(r.delay for r in records
-                      if r.seq > since_seq
-                      and (upto_seq is None or r.seq <= upto_seq))
-    return delay_stats(delays)

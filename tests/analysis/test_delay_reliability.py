@@ -7,7 +7,6 @@ import pytest
 from repro.analysis import (
     delay_stats,
     delivery_fraction,
-    out_of_order_fraction,
     recovery_locality,
     system_delay_stats,
     time_to_full_delivery,
@@ -68,18 +67,14 @@ class TestDelayStats:
         assert stats.count == 1
         assert stats.mean == 1.0
 
-
-class TestOutOfOrder:
-    def test_all_in_order(self):
-        records = {A: [rec(1, delivered=1.0), rec(2, delivered=2.0)]}
-        assert out_of_order_fraction(records, SRC) == 0.0
-
-    def test_one_late(self):
-        records = {A: [rec(2, delivered=1.0), rec(1, delivered=2.0)]}
-        assert out_of_order_fraction(records, SRC) == 0.5
-
-    def test_empty_is_nan(self):
-        assert math.isnan(out_of_order_fraction({}, SRC))
+    def test_upto_seq_bounds_the_window_above(self):
+        records = {A: [rec(1, delivered=1.0), rec(2, delivered=2.0),
+                       rec(3, delivered=300.0)]}
+        stats = system_delay_stats(records, source=SRC, since_seq=1,
+                                   upto_seq=2)
+        assert stats.count == 1
+        assert stats.mean == 2.0
+        assert system_delay_stats(records, source=SRC).count == 3
 
 
 class TestDeliveryFraction:

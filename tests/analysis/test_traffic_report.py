@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (
     Table,
     congestion_report,
-    control_data_split,
     link_transmissions,
     traffic_report,
 )
@@ -23,7 +22,6 @@ def test_traffic_report_reads_counters():
     assert report.data_sent == 10
     assert report.control_sent == 30
     assert report.control_fraction_sent == 0.75
-    assert control_data_split(sim) == (10, 30)
 
 
 def test_link_transmissions_strips_prefix():

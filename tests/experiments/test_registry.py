@@ -1,5 +1,6 @@
 """The declarative experiment registry."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ from repro.experiments import REGISTRY, ExperimentSpec, get_spec
 from repro.experiments import runners as runners_module
 from repro.experiments.records import ExperimentResult
 from repro.experiments.registry import register, run_registered
+
+from .test_verdicts import default_result
 
 
 def dummy_claims(judge):
@@ -105,12 +108,32 @@ class TestRegistry:
         assert result.experiment_id == "E9"
 
 
+def _mask_e22_wall_clock(markdown):
+    """Blank E22's wall_s and speedup cells and its note: they time the
+    machine, so they differ on every run."""
+    head, sep, rest = markdown.partition("### E22: ")
+    section, nxt, tail = rest.partition("\n### ")
+    section = re.sub(r"^(\| \d+ \| \d+ \|)[^|\n]*\|[^|\n]*\|",
+                     r"\1 - | - |", section, flags=re.M)
+    section = re.sub(r"^\*host has .*\*$", "*-*", section, flags=re.M)
+    return head + sep + section + nxt + tail
+
+
 def test_results_md_has_a_table_for_every_registered_experiment():
-    """RESULTS.md is `python -m repro experiments --markdown`, committed;
-    an experiment added without regenerating it shows up here."""
+    """RESULTS.md is `python -m repro experiments --markdown`, committed:
+    every experiment's table and verdict at its defaults, cell for cell
+    and claim for claim, E22's wall clock aside."""
     results = (Path(__file__).resolve().parents[2] / "RESULTS.md").read_text()
     headings = [line for line in results.splitlines()
                 if line.startswith("### ")]
     missing = [exp_id for exp_id in REGISTRY
                if not any(h.startswith(f"### {exp_id}: ") for h in headings)]
     assert not missing, f"regenerate RESULTS.md; no table for {missing}"
+    rendered = "".join(
+        f"\n{default_result(exp_id).render_markdown()}\n\n"
+        f"{spec.verdict(default_result(exp_id)).render_markdown()}\n"
+        for exp_id, spec in REGISTRY.items())
+    assert (_mask_e22_wall_clock(results)
+            == _mask_e22_wall_clock(rendered)), (
+        "regenerate RESULTS.md: PYTHONPATH=src python -m repro experiments "
+        "--markdown > RESULTS.md")

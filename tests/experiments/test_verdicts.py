@@ -44,7 +44,7 @@ def test_a_tree_above_its_cost_bound_fails_e1_naming_the_row():
     assert (row["clusters"], row["hosts_per_cluster"]) == (4, 2)
     row["tree"] = 1.6 * row["optimal"] + 0.6
     (claim,) = failed_claims("E1", result)
-    assert claim.text == "§5 ¶2-3: tree <= 1.6 x (k-1) + 0.5"
+    assert claim.text == "§5 ¶2-3: tree = k-1 exactly (optimal)"
     assert claim.evidence == (
         "clusters=4, hosts_per_cluster=2: tree=5.4, optimal=3",)
 
